@@ -27,12 +27,11 @@ for title, (img_sample, txt_sample) in (("matched pair", matched),
     img = encode_image(img_sample.image_raw, bound, model.config)
     txt = encode_text(txt_sample.text_raw, bound, model.config)
     b = pair_breakdown(img, txt, mining)
-    masked = np.minimum(b.word_scores, 0.0)
     print(f"{title} (identities {img_sample.identity_id} vs {txt_sample.identity_id})")
     print(f"  global score        {b.global_score:+.4f}")
     print(f"  local score         {b.local_score:+.4f}")
     print(f"  word scores         {np.round(b.word_scores, 3)}")
-    print(f"  masked (evidence)   {np.round(masked, 3)}")
+    print(f"  masked (evidence)   {np.round(b.masked_word_scores, 3)}")
     print(f"  negative score      {b.negative_score:+.4f}")
     print(f"  local - negative    {b.local_negative_score:+.4f}")
     print(f"  overall             {b.overall_score:+.4f}")

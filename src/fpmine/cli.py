@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -157,14 +156,6 @@ def _write_ndjson(path: Path, records: list[dict]) -> None:
     tmp.replace(path)
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("FPMINE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"FPMINE_THREADS must be an integer, got {raw!r}")
-
-
 # ------------------------------------------------------------------- commands
 
 def cmd_gen_data(args) -> int:
@@ -232,17 +223,16 @@ def cmd_eval(args) -> int:
     dataset = load_dataset(args.data)
     model = model_from_checkpoint(ckpt)
     fusion = args.fusion or model.flags.fusion()
-    threads = args.threads or _default_threads()
     tc = ckpt.train_config
     resolved = {"checkpoint": str(args.checkpoint), "data": str(args.data),
-                "fusion": fusion, "threads": threads, "report": bool(args.report),
+                "fusion": fusion, "report": bool(args.report),
                 "train": tc.to_json()}
     write_manifest(run_dir, "eval", resolved, [Path(args.checkpoint), Path(args.data)],
                    ["results.json"] + (["report.json"] if args.report else []), tc.seed)
     _train_idx, val_idx = identity_split(dataset, tc.val_fraction, seed=tc.seed)
     if val_idx.size == 0:
         val_idx = np.arange(len(dataset.samples))
-    result = evaluate_retrieval(model, dataset, val_idx, fusion, threads=threads)
+    result = evaluate_retrieval(model, dataset, val_idx, fusion)
     _write_json(run_dir / "results.json", result.to_json())
     print(f"{'fusion':<16}{'R@1':>8}{'R@5':>8}{'R@10':>8}")
     print(f"{fusion:<16}{result.r_at[1]:>8.2f}{result.r_at[5]:>8.2f}{result.r_at[10]:>8.2f}")
@@ -353,7 +343,6 @@ def build_parser() -> _Parser:
     e.add_argument("--report", action="store_true",
                    help="also write mining-activity and evidence report.json")
     e.add_argument("--report-pairs", type=int, default=8)
-    e.add_argument("--threads", type=int)
     e.add_argument("--out", required=True)
     e.set_defaults(func=cmd_eval)
 

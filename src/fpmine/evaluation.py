@@ -7,7 +7,6 @@ lower gallery index so tables are reproducible.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -16,7 +15,7 @@ from .dataset import SyntheticDataset, identity_split, twin_pairs
 from .encoders import Sample, encode_image, encode_text
 from .errors import ConfigError, InputError
 from .model import Model
-from .similarity import pair_breakdown, word_max_scores, word_region_scores
+from .similarity import pair_breakdown
 
 
 @dataclass(frozen=True)
@@ -67,8 +66,7 @@ def recall_at_k(rankings: np.ndarray, query_ids: np.ndarray, gallery_ids: np.nda
 
 
 def evaluate_retrieval(model: Model, dataset: SyntheticDataset, indices,
-                       fusion: str, *, ks: tuple[int, ...] = (1, 5, 10),
-                       threads: int = 1) -> RetrievalResult:
+                       fusion: str, *, ks: tuple[int, ...] = (1, 5, 10)) -> RetrievalResult:
     """Text-to-image retrieval over one identity-disjoint split."""
     indices = np.asarray(indices, dtype=np.intp)
     if indices.size == 0:
@@ -76,13 +74,7 @@ def evaluate_retrieval(model: Model, dataset: SyntheticDataset, indices,
     samples = [dataset.samples[i] for i in indices]
     ids = np.array([s.identity_id for s in samples])
     scores = model.score_matrix(samples, samples, fusion).T  # (queries, gallery)
-    if threads > 1:
-        chunks = np.array_split(np.arange(scores.shape[0]), threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda c: rank_rows(scores[c]), chunks))
-        rankings = np.vstack([p for p in parts if p.size])
-    else:
-        rankings = rank_rows(scores)
+    rankings = rank_rows(scores)
     r_at = {k: recall_at_k(rankings, ids, ids, k) for k in ks}
     return RetrievalResult(rankings, r_at, len(samples), len(samples), fusion)
 
@@ -126,22 +118,15 @@ def negative_evidence_report(model: Model, image_sample: Sample, text_sample: Sa
     bound = model.bind(None)
     img = encode_image(image_sample.image_raw, bound, model.config)
     txt = encode_text(text_sample.text_raw, bound, model.config)
-    mining = model.mining_params(bound)
     tau = float(model.params["boundary_tau"]) if model.flags.learnable_boundary else 0.0
-    breakdown = pair_breakdown(img, txt, mining,
+    breakdown = pair_breakdown(img, txt, model.mining_params(bound),
                                use_mask=model.flags.use_mining_mask, boundary=tau)
-    scores = word_region_scores(img.raw_parts, txt.raw_parts, mining)
-    per_word = word_max_scores(scores)
-    argmax_regions = np.argmax(scores.data, axis=0)
-    masked = (per_word.data * (per_word.data < tau) if model.flags.use_mining_mask
-              else np.array(per_word.data))
     words = [
-        {"index": i, "score": float(per_word.data[i]), "masked": float(masked[i]),
-         "argmax_region": int(argmax_regions[i])}
-        for i in range(per_word.size)
+        {"index": i, "score": float(score), "masked": float(masked), "argmax_region": int(region)}
+        for i, (score, masked, region) in enumerate(zip(
+            breakdown.word_scores, breakdown.masked_word_scores, breakdown.argmax_regions))
     ]
     doc = breakdown.to_json()
-    doc["masked_word_scores"] = masked.tolist()  # boundary-aware when tau != 0
     doc.update({
         "image_identity": image_sample.identity_id,
         "text_identity": text_sample.identity_id,

@@ -26,17 +26,21 @@ the kink where the push changes sign. Should the matched push ever win
 below zero, tau would rest at that negative balance point, where the
 mined evidence is still <= 0. At tau = 0 both hinges equal the
 fixed-boundary ones.
+
+Each objective has one implementation, a batched kernel that training
+calls on a whole batch plan; the per-pair functions keep their signatures
+as adapters that wrap their arguments as a batch of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import numerics as nm
 from .errors import ConfigError, InputError, ShapeError
-from .numerics import Tensor
+from .numerics import Tensor, _as_tensor
 
 
 @dataclass(frozen=True)
@@ -56,12 +60,10 @@ class LossWeights:
     w_ranking: float = 1.0
 
     def __post_init__(self):
-        for name in ("matched_slope", "matched_bias", "mismatched_slope", "mismatched_bias",
-                     "identity_local_weight", "ranking_margin", "ranking_local_weight",
-                     "ranking_localneg_weight", "w_word", "w_identity", "w_ranking"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not np.isfinite(v) or v < 0:
-                raise ConfigError(f"{name} must be finite and >= 0, got {v}")
+                raise ConfigError(f"{f.name} must be finite and >= 0, got {v}")
 
 
 @dataclass(frozen=True)
@@ -77,81 +79,73 @@ class LossReport:
     total: float
 
     def to_json(self) -> dict:
-        return {
-            "matched": self.matched,
-            "mismatched": self.mismatched,
-            "identity": self.identity,
-            "rank_global": self.rank_global,
-            "rank_local": self.rank_local,
-            "rank_local_neg": self.rank_local_neg,
-            "total": self.total,
-        }
+        return asdict(self)
 
 
-def matched_word_loss(word_scores, weights: LossWeights, boundary=0.0) -> Tensor:
-    """Mean hinge pushing every word score of a matched pair positive.
+def _pair_rows(word_scores: Tensor, text_mask, pairs_img, pairs_txt):
+    """(pairs, L) rows of an (n_img, n_txt, L) word-score tensor, and their word masks."""
+    n_img, n_txt, length = word_scores.shape
+    pairs_txt = np.asarray(pairs_txt, dtype=np.intp)
+    flat = word_scores.reshape((n_img * n_txt, length))
+    rows = nm.take_rows(flat, np.asarray(pairs_img, dtype=np.intp) * n_txt + pairs_txt)
+    return rows, np.asarray(text_mask, dtype=bool)[pairs_txt]
 
-    (1/length) * sum_i max(-slope*(s_i - boundary) + bias, 0); zero exactly
-    when every score clears boundary + bias/slope.
+
+def _reduce_pairs(per_pair: Tensor, reduction: str) -> Tensor:
+    return nm.mean(per_pair) if reduction == "mean" else per_pair.sum()
+
+
+def batch_matched_word_loss(word_scores, text_mask, pairs_img, pairs_txt,
+                            weights: LossWeights, boundary=0.0,
+                            reduction: str = "mean") -> Tensor:
+    """Per pair, the mean of max(-slope*(s_i - boundary) + bias, 0) over its words.
+
+    ``word_scores`` is (n_img, n_txt, L) and ``text_mask`` (n_txt, L); pair
+    p is cell (pairs_img[p], pairs_txt[p]). ``reduction`` ("mean" or "sum")
+    aggregates over pairs.
     """
-    ws = word_scores if isinstance(word_scores, Tensor) else Tensor(word_scores)
-    if ws.ndim != 1 or ws.size < 1:
-        raise ShapeError("matched_word_loss expects a nonempty score vector")
+    rows, valid = _pair_rows(word_scores, text_mask, pairs_img, pairs_txt)
     if isinstance(boundary, Tensor) or boundary != 0.0:
-        ws = nm.sub(ws, boundary)
-    per_word = nm.relu(nm.add(nm.mul(ws, -weights.matched_slope), weights.matched_bias))
-    return nm.mean(per_word)
+        rows = nm.sub(rows, boundary)
+    hinge = nm.relu(nm.add(nm.mul(rows, -weights.matched_slope), weights.matched_bias))
+    per_pair = nm.mul(nm.mul(hinge, valid.astype(np.float64)).sum(axis=1),
+                      1.0 / valid.sum(axis=1))
+    return _reduce_pairs(per_pair, reduction)
 
 
 def evidence_cut(boundary):
     """min(boundary, 0): the cut a mismatched pair's weakest word must clear.
 
-    The mining mask selects words below ``boundary`` and passes their raw
-    scores, so mined evidence of at most -bias/slope needs the weakest word
-    that far below the boundary and below zero; min(boundary, 0) is the
-    stricter of the two. It gives no gradient to the boundary at or above
-    zero (the kink included).
+    Mined evidence of at most -bias/slope needs the weakest word that far
+    below the boundary (to be selected) and below zero (its raw value).
+    No gradient reaches the boundary at or above zero, the kink included.
     """
     if isinstance(boundary, Tensor):
         return nm.minimum(boundary, 0.0)
     return min(boundary, 0.0)
 
 
-def mismatched_word_loss(word_scores, weights: LossWeights, boundary=0.0) -> Tensor:
-    """Hinge pushing the weakest word score of a mismatched pair negative.
+def batch_mismatched_word_loss(word_scores, text_mask, pairs_img, pairs_txt,
+                               weights: LossWeights, boundary=0.0,
+                               reduction: str = "mean") -> Tensor:
+    """Per pair, max(slope*(min_i s_i - min(boundary, 0)) + bias, 0) over its words.
 
-    max(slope*(min_i s_i - min(boundary, 0)) + bias, 0); zero exactly when
-    the minimum drops to min(boundary, 0) - bias/slope or lower, i.e. when
-    the weakest word is mined with evidence of at most -bias/slope (see
-    ``evidence_cut``).
+    Arguments as in ``batch_matched_word_loss``; no pairs cost 0.
     """
-    ws = word_scores if isinstance(word_scores, Tensor) else Tensor(word_scores)
-    if ws.ndim != 1 or ws.size < 1:
-        raise ShapeError("mismatched_word_loss expects a nonempty score vector")
-    s_min = ws.min(axis=0)
+    if len(pairs_img) == 0:
+        return Tensor(0.0)
+    rows, valid = _pair_rows(word_scores, text_mask, pairs_img, pairs_txt)
+    s_min = nm.masked_min(rows, valid, axis=1)
     if isinstance(boundary, Tensor) or boundary != 0.0:
         s_min = nm.sub(s_min, evidence_cut(boundary))
-    return nm.relu(nm.add(nm.mul(s_min, weights.mismatched_slope), weights.mismatched_bias))
-
-
-def identity_loss(x, label: int, classifier) -> Tensor:
-    """Cross-entropy of softmax(classifier @ x) at the true identity."""
-    xv = x if isinstance(x, Tensor) else Tensor(x)
-    w = classifier if isinstance(classifier, Tensor) else Tensor(classifier)
-    if xv.ndim != 1 or w.ndim != 2 or w.shape[1] != xv.shape[0]:
-        raise ShapeError(f"classifier {w.shape} does not apply to embedding {xv.shape}")
-    n_classes = w.shape[0]
-    if not 0 <= label < n_classes:
-        raise InputError(f"label {label} out of range [0, {n_classes})")
-    logits = nm.matmul(w, xv.reshape((xv.size, 1))).reshape((n_classes,))
-    lse = nm.logsumexp(logits, axis=0)
-    return nm.sub(lse, nm.take_rows(logits, [label]).reshape(()))
+    per_pair = nm.relu(nm.add(nm.mul(s_min, weights.mismatched_slope), weights.mismatched_bias))
+    return _reduce_pairs(per_pair, reduction)
 
 
 def mean_identity_loss(embeddings, labels, classifier) -> Tensor:
-    """Batched identity cross-entropy, averaged over rows."""
-    xs = embeddings if isinstance(embeddings, Tensor) else Tensor(embeddings)
-    w = classifier if isinstance(classifier, Tensor) else Tensor(classifier)
+    """Identity cross-entropy of softmax(embedding @ classifier.T), averaged over rows."""
+    xs = _as_tensor(embeddings)
+    w = _as_tensor(classifier)
     labels = np.asarray(labels, dtype=np.intp)
     n, n_classes = xs.shape[0], w.shape[0]
     if labels.shape != (n,):
@@ -164,24 +158,79 @@ def mean_identity_loss(embeddings, labels, classifier) -> Tensor:
     return nm.mean(nm.sub(lse, picked))
 
 
+def batch_ranking_loss(sim, diff, pairs_img, pairs_txt, margin: float) -> Tensor:
+    """Two-sided hinge against the hardest in-batch negatives, averaged over pairs.
+
+    ``sim`` is (n_img, n_txt), ``diff`` marks its cross-identity cells, and
+    pair p is matched cell (pairs_img[p], pairs_txt[p]). Each side pays
+    max(hardest negative - s + margin, 0), or 0 with no negative to pick.
+    """
+    pairs_img = np.asarray(pairs_img, dtype=np.intp)
+    pairs_txt = np.asarray(pairs_txt, dtype=np.intp)
+    n_img, n_txt = sim.shape
+    pos = nm.take_rows(sim.reshape((n_img * n_txt,)), pairs_img * n_txt + pairs_txt)
+    hard_txt = nm.take_rows(nm.masked_max(sim, diff, axis=1, allow_empty=True), pairs_img)
+    hard_img = nm.take_rows(nm.masked_max(sim, diff, axis=0, allow_empty=True), pairs_txt)
+    avail_txt = diff.any(axis=1)[pairs_img].astype(np.float64)
+    avail_img = diff.any(axis=0)[pairs_txt].astype(np.float64)
+    side_t = nm.mul(nm.relu(nm.add(nm.sub(hard_txt, pos), margin)), avail_txt)
+    side_i = nm.mul(nm.relu(nm.add(nm.sub(hard_img, pos), margin)), avail_img)
+    return nm.mean(nm.add(side_t, side_i))
+
+
+# ---------------------------------------------------------- per-pair adapters
+
+def _one_pair(word_scores, name: str) -> tuple[Tensor, np.ndarray]:
+    """A nonempty score vector as a one-pair batch: (1, 1, length) scores, (1, length) mask."""
+    ws = _as_tensor(word_scores)
+    if ws.ndim != 1 or ws.size < 1:
+        raise ShapeError(f"{name} expects a nonempty score vector")
+    return ws.reshape((1, 1, ws.size)), np.ones((1, ws.size), dtype=bool)
+
+
+def matched_word_loss(word_scores, weights: LossWeights, boundary=0.0) -> Tensor:
+    """Mean hinge pushing every word score of a matched pair positive.
+
+    (1/length) * sum_i max(-slope*(s_i - boundary) + bias, 0); zero exactly
+    when every score clears boundary + bias/slope.
+    """
+    scores, mask = _one_pair(word_scores, "matched_word_loss")
+    return batch_matched_word_loss(scores, mask, [0], [0], weights, boundary)
+
+
+def mismatched_word_loss(word_scores, weights: LossWeights, boundary=0.0) -> Tensor:
+    """Hinge pushing the weakest word score of a mismatched pair negative.
+
+    max(slope*(min_i s_i - min(boundary, 0)) + bias, 0); zero exactly when
+    the minimum drops to min(boundary, 0) - bias/slope or lower.
+    """
+    scores, mask = _one_pair(word_scores, "mismatched_word_loss")
+    return batch_mismatched_word_loss(scores, mask, [0], [0], weights, boundary)
+
+
+def identity_loss(x, label: int, classifier) -> Tensor:
+    """Cross-entropy of softmax(classifier @ x) at the true identity."""
+    xv, w = _as_tensor(x), _as_tensor(classifier)
+    if xv.ndim != 1 or w.ndim != 2 or w.shape[1] != xv.shape[0]:
+        raise ShapeError(f"classifier {w.shape} does not apply to embedding {xv.shape}")
+    return mean_identity_loss(xv.reshape((1, xv.size)), [label], w)
+
+
+# row 0 / column 0 hold the matched image / text; the other cells are negatives
+_ONE_PAIR_DIFF = np.array([[False, True], [True, False]])
+
+
 def ranking_loss(s_matched, s_img_negtext, s_negimg_text, margin: float) -> Tensor:
     """Two-sided hinge: the matched pair must beat both negatives by ``margin``."""
-    pos = s_matched if isinstance(s_matched, Tensor) else Tensor(s_matched)
-    nt = s_img_negtext if isinstance(s_img_negtext, Tensor) else Tensor(s_img_negtext)
-    ni = s_negimg_text if isinstance(s_negimg_text, Tensor) else Tensor(s_negimg_text)
-    return nm.add(nm.relu(nm.add(nm.sub(nt, pos), margin)),
-                  nm.relu(nm.add(nm.sub(ni, pos), margin)))
+    # the (negative image, negative text) cell is never read; s_matched fills it
+    sim = nm.stack([nm.stack([s_matched, s_img_negtext]), nm.stack([s_negimg_text, s_matched])])
+    return batch_ranking_loss(sim, _ONE_PAIR_DIFF, [0], [0], margin)
 
 
 def combined_ranking(rank_global, rank_local, rank_local_neg, weights: LossWeights) -> Tensor:
     """Weighted sum of the three ranking terms (local ones down-weighted)."""
-    total = rank_global if isinstance(rank_global, Tensor) else Tensor(rank_global)
-    total = nm.add(total, nm.mul(_as_t(rank_local), weights.ranking_local_weight))
-    return nm.add(total, nm.mul(_as_t(rank_local_neg), weights.ranking_localneg_weight))
-
-
-def _as_t(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    total = nm.add(rank_global, nm.mul(rank_local, weights.ranking_local_weight))
+    return nm.add(total, nm.mul(rank_local_neg, weights.ranking_localneg_weight))
 
 
 def total_loss(matched, mismatched, identity, rank_global, rank_local, rank_local_neg,
@@ -192,8 +241,8 @@ def total_loss(matched, mismatched, identity, rank_global, rank_local, rank_loca
     its internal weights first, then the three families are mixed with the
     top-level weights.
     """
-    terms = [_as_t(t) for t in (matched, mismatched, identity,
-                                rank_global, rank_local, rank_local_neg)]
+    terms = [_as_tensor(t) for t in (matched, mismatched, identity,
+                                     rank_global, rank_local, rank_local_neg)]
     ranking = combined_ranking(terms[3], terms[4], terms[5], weights)
     total = nm.add(
         nm.add(nm.mul(nm.add(terms[0], terms[1]), weights.w_word),

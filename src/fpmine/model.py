@@ -2,8 +2,10 @@
 
 One code path serves training and evaluation: ops record onto a GradTape
 when one is supplied and run as plain array math when it is None. The
-batched forward mirrors the per-pair operations in ``similarity`` and
-``losses`` exactly; a consistency test holds the two paths together.
+model only gathers a batch (encodes its images and padded captions, and
+maps plan pairs to batch rows) and calls the batched kernels of
+``similarity`` and ``losses``, the same kernels behind the per-pair
+functions there.
 """
 
 from __future__ import annotations
@@ -15,15 +17,14 @@ import numpy as np
 
 from . import losses as ls
 from . import numerics as nm
+from . import similarity as sim
 from .encoders import (EncoderConfig, ImageEncodings, Sample, TextEncodings,
                        encode_images_batch, encode_texts_batch, init_encoder_params)
 from .errors import ConfigError
 from .losses import LossReport, LossWeights
 from .numerics import GradTape, Tensor
 from .sampling import BatchPlan
-from .similarity import MiningParams, mining_mask
-
-FUSIONS = ("global", "local", "global+local", "local+mining", "full")
+from .similarity import FUSIONS, MiningParams  # noqa: F401 (FUSIONS is re-exported)
 
 
 @dataclass(frozen=True)
@@ -103,77 +104,34 @@ class Model:
         """The mining decision boundary: the bound tau leaf, or the fixed 0.0.
 
         tau gets no gradient through the mask; it trains through the word
-        hinges, whose push on it changes sign at zero (see ``losses``).
-        """
+        hinges, whose push on it changes sign at zero (see ``losses``)."""
         return bound["boundary_tau"] if self.flags.learnable_boundary else 0.0
 
     # ---------------------------------------------------------------- forward
 
     def word_score_tensor(self, images: ImageEncodings, texts: TextEncodings,
                           mining: MiningParams) -> Tensor:
-        """Max-over-regions word scores for every (image, text) pair.
-
-        Returns (n_images, n_texts, pad_len); padded positions hold junk and
-        must be masked by ``texts.mask`` in every reduction.
-        """
-        n_img, k, c = images.region_feats.shape
-        n_txt, pad = texts.word_feats.shape[0], texts.word_feats.shape[1]
-        pv = nm.l2_normalize(nm.matmul(images.region_feats.reshape((n_img * k, c)),
-                                       mining.region_proj.T), axis=-1)
-        pe = nm.l2_normalize(nm.matmul(texts.word_feats.reshape((n_txt * pad, c)),
-                                       mining.word_proj.T), axis=-1)
-        all_scores = nm.clamp(nm.matmul(pv, pe.T), -1.0, 1.0)
-        return all_scores.reshape((n_img, k, n_txt, pad)).max(axis=1)
+        """(n_images, n_texts, pad_len) max-over-regions word scores; padded
+        positions hold junk and must be masked by ``texts.mask``."""
+        return sim.region_max(sim.word_region_tensor(images.region_feats, texts.word_feats,
+                                                     mining))
 
     def similarity_components(self, images: ImageEncodings, texts: TextEncodings,
                               bound: Mapping[str, Tensor]
                               ) -> tuple[dict[str, Tensor], Tensor | None]:
-        """(pairwise similarity matrices, word-score tensor or None).
-
-        Matrices are (n_images, n_texts); which keys exist depends on the
-        enabled branches.
-        """
+        """((n_images, n_texts) matrices of the enabled branches, word scores or None)."""
         comps: dict[str, Tensor] = {}
         if self.flags.use_global:
-            ug = nm.l2_normalize(images.global_embed, axis=-1)
-            ut = nm.l2_normalize(texts.global_embed, axis=-1)
-            comps["global"] = nm.clamp(nm.matmul(ug, ut.T), -1.0, 1.0)
-        word_scores = None
+            comps["global"] = sim.global_scores(images.global_embed, texts.global_embed)
         if self.flags.use_local:
-            n_img, n_txt = images.local_embed.shape[0], texts.local_embed.shape[0]
-            flat_dim = self.config.region_count * self.config.shared_dim
-            uv = nm.l2_normalize(images.local_embed.reshape((n_img, flat_dim)), axis=-1)
-            utl = nm.l2_normalize(texts.local_embed.reshape((n_txt, flat_dim)), axis=-1)
-            comps["local"] = nm.clamp(nm.matmul(uv, utl.T), -1.0, 1.0)
+            comps["local"] = sim.local_scores(images.local_embed, texts.local_embed)
+        word_scores = None
         if self.flags.use_mining:
             word_scores = self.word_score_tensor(images, texts, self.mining_params(bound))
-            tau = self.boundary(bound)
-            contrib = (mining_mask(word_scores, tau) if self.flags.use_mining_mask
-                       else word_scores)
-            masked = nm.mul(contrib, texts.mask[None, :, :].astype(np.float64))
-            comps["negative"] = masked.sum(axis=2)
-            comps["local_negative"] = nm.add(comps["local"], comps["negative"])
+            _, comps["negative"], comps["local_negative"] = sim.mined_evidence(
+                word_scores, texts.mask, comps["local"],
+                use_mask=self.flags.use_mining_mask, boundary=self.boundary(bound))
         return comps, word_scores
-
-    def fuse(self, comps: Mapping[str, Tensor | np.ndarray], fusion: str):
-        """Combine component matrices per the requested inference rule."""
-        if fusion not in FUSIONS:
-            raise ConfigError(f"unknown fusion {fusion!r}; expected one of {FUSIONS}")
-        need = {
-            "global": ("global",),
-            "local": ("local",),
-            "global+local": ("global", "local"),
-            "local+mining": ("local", "local_negative"),
-            "full": ("global", "local", "local_negative"),
-        }[fusion]
-        missing = [n for n in need if n not in comps]
-        if missing:
-            raise ConfigError(f"fusion {fusion!r} needs disabled branch(es): {missing}")
-        first = comps[need[0]]
-        out = first if isinstance(first, Tensor) else Tensor(first)
-        for name in need[1:]:
-            out = nm.add(out, comps[name])
-        return out
 
     # ------------------------------------------------------------- batch loss
 
@@ -185,82 +143,44 @@ class Model:
         txt_idx = sorted({t for _, t in plan.matched} | {t for _, t in plan.mismatched})
         img_pos = {g: i for i, g in enumerate(img_idx)}
         txt_pos = {g: i for i, g in enumerate(txt_idx)}
-        n_img, n_txt = len(img_idx), len(txt_idx)
 
         bound = self.bind(tape)
-        images = encode_images_batch(
-            np.stack([samples[i].image_raw for i in img_idx]), bound, self.config)
-        lengths = np.array([samples[t].length for t in txt_idx], dtype=np.intp)
-        pad = int(lengths.max())
-        text_raws = np.zeros((n_txt, pad, self.config.text_raw_dim))
-        for row, t in enumerate(txt_idx):
-            text_raws[row, :samples[t].length] = samples[t].text_raw
-        texts = encode_texts_batch(text_raws, lengths, bound, self.config)
-
+        images, texts = self._encode([samples[i] for i in img_idx],
+                                     [samples[t] for t in txt_idx], bound)
         img_labels = np.array([samples[i].identity_id for i in img_idx], dtype=np.intp)
         txt_labels = np.array([samples[t].identity_id for t in txt_idx], dtype=np.intp)
 
         comps, word_scores = self.similarity_components(images, texts, bound)
 
-        pos_img = np.array([img_pos[i] for i, _ in plan.matched], dtype=np.intp)
-        pos_txt = np.array([txt_pos[t] for _, t in plan.matched], dtype=np.intp)
+        def rows(pairs):
+            return (np.array([img_pos[i] for i, _ in pairs], dtype=np.intp),
+                    np.array([txt_pos[t] for _, t in pairs], dtype=np.intp))
 
+        pos_img, pos_txt = rows(plan.matched)
+        w, flags = self.weights, self.flags
         matched_t = mismatched_t = 0.0
-        if self.flags.use_mining:
+        if flags.use_mining:
             tau = self.boundary(bound)
-            matched_t = self._matched_word_term(word_scores, texts.mask, lengths,
-                                                pos_img, pos_txt, n_txt, tau)
-            mismatched_t = self._mismatched_word_term(word_scores, texts.mask, plan,
-                                                      img_pos, txt_pos, n_txt, tau)
+            matched_t = ls.batch_matched_word_loss(word_scores, texts.mask, pos_img, pos_txt,
+                                                   w, tau, flags.word_loss_reduction)
+            mismatched_t = ls.batch_mismatched_word_loss(word_scores, texts.mask,
+                                                         *rows(plan.mismatched), w, tau,
+                                                         flags.word_loss_reduction)
 
         identity_t = self._identity_term(images, texts, img_labels, txt_labels, bound)
 
-        rank_g = rank_l = rank_ln = 0.0
         diff = img_labels[:, None] != txt_labels[None, :]
-        if self.flags.use_global:
-            rank_g = self._ranking_term(comps["global"], diff, pos_img, pos_txt)
-        if self.flags.use_local:
-            rank_l = self._ranking_term(comps["local"], diff, pos_img, pos_txt)
-        if self.flags.use_mining and self.flags.use_local_neg_ranking:
-            rank_ln = self._ranking_term(comps["local_negative"], diff, pos_img, pos_txt)
 
+        def ranking(name):
+            return ls.batch_ranking_loss(comps[name], diff, pos_img, pos_txt, w.ranking_margin)
+
+        rank_g = ranking("global") if flags.use_global else 0.0
+        rank_l = ranking("local") if flags.use_local else 0.0
+        rank_ln = (ranking("local_negative")
+                   if flags.use_mining and flags.use_local_neg_ranking else 0.0)
         total, report = ls.total_loss(matched_t, mismatched_t, identity_t,
-                                      rank_g, rank_l, rank_ln, self.weights)
+                                      rank_g, rank_l, rank_ln, w)
         return total, report, bound
-
-    def _reduce_pairs(self, per_pair: Tensor) -> Tensor:
-        if self.flags.word_loss_reduction == "mean":
-            return nm.mean(per_pair)
-        return per_pair.sum()
-
-    def _matched_word_term(self, word_scores: Tensor, mask: np.ndarray, lengths: np.ndarray,
-                           pos_img: np.ndarray, pos_txt: np.ndarray, n_txt: int, tau) -> Tensor:
-        w = self.weights
-        flat = word_scores.reshape((word_scores.shape[0] * n_txt, word_scores.shape[2]))
-        rows = nm.take_rows(flat, pos_img * n_txt + pos_txt)
-        if isinstance(tau, Tensor) or tau != 0.0:
-            rows = nm.sub(rows, tau)
-        hinge = nm.relu(nm.add(nm.mul(rows, -w.matched_slope), w.matched_bias))
-        valid = mask[pos_txt].astype(np.float64)
-        per_pair = nm.mul(nm.mul(hinge, valid).sum(axis=1), 1.0 / lengths[pos_txt])
-        return self._reduce_pairs(per_pair)
-
-    def _mismatched_word_term(self, word_scores: Tensor, mask: np.ndarray, plan: BatchPlan,
-                              img_pos: dict, txt_pos: dict, n_txt: int, tau) -> Tensor:
-        """Batched ``losses.mismatched_word_loss``: the weakest word's target is
-        min(tau, 0) - bias/slope, so tau above zero does not enter it."""
-        w = self.weights
-        rows_i = np.array([img_pos[i] for i, _ in plan.mismatched], dtype=np.intp)
-        rows_t = np.array([txt_pos[t] for _, t in plan.mismatched], dtype=np.intp)
-        if rows_i.size == 0:
-            return Tensor(0.0)
-        flat = word_scores.reshape((word_scores.shape[0] * n_txt, word_scores.shape[2]))
-        rows = nm.take_rows(flat, rows_i * n_txt + rows_t)
-        s_min = nm.masked_min(rows, mask[rows_t], axis=1)
-        if isinstance(tau, Tensor) or tau != 0.0:
-            s_min = nm.sub(s_min, ls.evidence_cut(tau))
-        per_pair = nm.relu(nm.add(nm.mul(s_min, w.mismatched_slope), w.mismatched_bias))
-        return self._reduce_pairs(per_pair)
 
     def _identity_term(self, images: ImageEncodings, texts: TextEncodings,
                        img_labels: np.ndarray, txt_labels: np.ndarray,
@@ -283,53 +203,38 @@ class Model:
             total = nm.add(total, t)
         return total
 
-    def _ranking_term(self, sim: Tensor, diff: np.ndarray,
-                      pos_img: np.ndarray, pos_txt: np.ndarray) -> Tensor:
-        """Two-sided hinge with hardest in-batch negatives under this matrix.
-
-        Pairs with no cross-identity candidate on one side contribute 0 to
-        that side (constant availability mask).
-        """
-        margin = self.weights.ranking_margin
-        n_img, n_txt = sim.shape
-        pos = nm.take_rows(sim.reshape((n_img * n_txt,)), pos_img * n_txt + pos_txt)
-        hard_txt = nm.take_rows(nm.masked_max(sim, diff, axis=1, allow_empty=True), pos_img)
-        hard_img = nm.take_rows(nm.masked_max(sim, diff, axis=0, allow_empty=True), pos_txt)
-        avail_txt = diff.any(axis=1)[pos_img].astype(np.float64)
-        avail_img = diff.any(axis=0)[pos_txt].astype(np.float64)
-        side_t = nm.mul(nm.relu(nm.add(nm.sub(hard_txt, pos), margin)), avail_txt)
-        side_i = nm.mul(nm.relu(nm.add(nm.sub(hard_img, pos), margin)), avail_img)
-        return nm.mean(nm.add(side_t, side_i))
+    def _encode(self, image_samples: list[Sample], text_samples: list[Sample],
+                bound: Mapping[str, Tensor]) -> tuple[ImageEncodings, TextEncodings]:
+        """Encode images stacked and captions zero-padded to the longest one."""
+        images = encode_images_batch(
+            np.stack([s.image_raw for s in image_samples]), bound, self.config)
+        lengths = np.array([s.length for s in text_samples], dtype=np.intp)
+        raws = np.zeros((len(text_samples), int(lengths.max()), self.config.text_raw_dim))
+        for row, s in enumerate(text_samples):
+            raws[row, :s.length] = s.text_raw
+        return images, encode_texts_batch(raws, lengths, bound, self.config)
 
     # ------------------------------------------------------------- evaluation
 
     def score_components(self, image_samples: list[Sample], text_samples: list[Sample]
                          ) -> dict[str, np.ndarray]:
-        """Similarity matrices plus word evidence, as plain arrays (no tape).
+        """Similarity matrices plus word evidence, as read-only arrays (no tape).
 
         Keys: enabled components among global/local/negative/local_negative,
         plus ``word_scores`` (n_img, n_txt, pad) and ``text_mask`` when the
         mining branch is on.
         """
         bound = self.bind(None)
-        images = encode_images_batch(
-            np.stack([s.image_raw for s in image_samples]), bound, self.config)
-        lengths = np.array([s.length for s in text_samples], dtype=np.intp)
-        pad = int(lengths.max())
-        raws = np.zeros((len(text_samples), pad, self.config.text_raw_dim))
-        for i, s in enumerate(text_samples):
-            raws[i, :s.length] = s.text_raw
-        texts = encode_texts_batch(raws, lengths, bound, self.config)
+        images, texts = self._encode(image_samples, text_samples, bound)
         comps, word_scores = self.similarity_components(images, texts, bound)
-        out = {name: np.array(t.data) for name, t in comps.items()}
+        out = {name: t.data for name, t in comps.items()}
         if word_scores is not None:
-            out["word_scores"] = np.array(word_scores.data)
-            out["text_mask"] = texts.mask.copy()
+            texts.mask.setflags(write=False)
+            out["word_scores"] = word_scores.data
+            out["text_mask"] = texts.mask
         return out
 
     def score_matrix(self, image_samples: list[Sample], text_samples: list[Sample],
                      fusion: str) -> np.ndarray:
         comps = self.score_components(image_samples, text_samples)
-        fused = self.fuse({k: Tensor(v) for k, v in comps.items()
-                           if k in ("global", "local", "local_negative")}, fusion)
-        return np.array(fused.data)
+        return np.array(sim.fuse(comps, fusion).data)

@@ -17,7 +17,7 @@ Kink conventions are fixed so tests are deterministic:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -58,7 +58,7 @@ class Tensor:
         arr = np.asarray(arr, dtype=np.float64)
         if _DEBUG_CHECKS:
             _check_finite(arr, "op")
-        if arr.flags.writeable and arr.base is None:
+        if arr.flags.writeable:  # op outputs and their views alike
             arr.setflags(write=False)
         t = object.__new__(cls)
         t.data = arr
@@ -139,15 +139,6 @@ class Tensor:
     def mean(self, axis=None) -> "Tensor":
         return mean(self, axis=axis)
 
-    def exp(self) -> "Tensor":
-        return exp(self)
-
-    def log(self) -> "Tensor":
-        return log(self)
-
-    def sqrt(self) -> "Tensor":
-        return sqrt(self)
-
 
 class GradTape:
     """Ordered record of primitives for one reverse pass.
@@ -181,9 +172,6 @@ class GradTape:
         self._inputs.append(tuple(t.tid for t in inputs))
         self._backwards.append(backward)
         return Tensor._raw(arr, self, tid)
-
-    def gradients(self, loss: Tensor) -> dict[Tensor, Tensor]:
-        return backward(loss, self)
 
 
 def backward(loss: Tensor, tape: GradTape) -> dict[Tensor, Tensor]:
@@ -568,33 +556,43 @@ def l2_normalize(a, axis: int = -1, eps: float = NORM_EPS) -> Tensor:
 
 
 def cosine(a, b) -> Tensor:
-    """Cosine similarity of two vectors, clamped to [-1, 1].
+    """Cosine clamped to [-1, 1]: of two vectors (a scalar), or of every row pair
+    of (n, d) and (m, d) stacks (an (n, m) matrix).
 
-    Denominator norms are floored at NORM_EPS, so zero vectors yield 0
-    rather than dividing by zero. At |cos| = 1 the clamp takes subgradient
-    0, which coincides with the true gradient for parallel vectors.
+    Computed as dot / |a_i| / |b_j| (normalized rows can miss 1.0 for
+    identical rows), with norms floored at NORM_EPS so zero rows yield 0.
+    At |cos| = 1 the clamp takes subgradient 0, the true gradient for
+    parallel vectors. The forward pass scales and clips its one buffer in place.
     """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape or a.size < 1:
-        raise ShapeError(f"cosine requires equal-length vectors, got {a.shape} and {b.shape}")
-    ad, bd = a.data, b.data
-    dot = float(ad @ bd)
-    na = float(np.linalg.norm(ad))
-    nb = float(np.linalg.norm(bd))
-    da = max(na, NORM_EPS)
-    db = max(nb, NORM_EPS)
-    raw = dot / (da * db)
-    out = np.asarray(np.clip(raw, -1.0, 1.0))
+    if a.ndim != b.ndim or a.ndim not in (1, 2) or not 1 <= a.shape[-1] == b.shape[-1]:
+        raise ShapeError(f"cosine requires equal-width vectors or row stacks, "
+                         f"got {a.shape} and {b.shape}")
+    a2, b2 = a.data.reshape((-1, a.shape[-1])), b.data.reshape((-1, b.shape[-1]))
+    na = np.sqrt(np.sum(a2 * a2, axis=1))
+    nb = np.sqrt(np.sum(b2 * b2, axis=1))
+    da, db = np.maximum(na, NORM_EPS), np.maximum(nb, NORM_EPS)
+    out2 = a2 @ b2.T
+    out2 /= da[:, None]
+    out2 /= db
+    np.clip(out2, -1.0, 1.0, out=out2)
+    out = out2 if a.ndim == 2 else out2.reshape(())
     tape = _tape_of(a, b)
     if tape is None:
         return Tensor._raw(out)
-    passthrough = 1.0 if abs(raw) < 1.0 else 0.0
+    # the second gradient term exists only where the norm is not floored
+    ca = np.where(na > NORM_EPS, 1.0 / (da * da), 0.0)
+    cb = np.where(nb > NORM_EPS, 1.0 / (db * db), 0.0)
 
     def bw(g):
-        g = float(np.asarray(g)) * passthrough
-        ga = g * (bd / (da * db) - (raw * ad / (da * da) if na > NORM_EPS else 0.0))
-        gb = g * (ad / (da * db) - (raw * bd / (db * db) if nb > NORM_EPS else 0.0))
-        return ga, gb
+        g = np.asarray(g).reshape(out2.shape)
+        if out2.min() <= -1.0 or out2.max() >= 1.0:  # clamped entries pass no gradient
+            g = g * (np.abs(out2) < 1.0)
+        ga = g @ (b2 / db[:, None]) / da[:, None]
+        gb = ((a2 / da[:, None]).T @ g).T / db[:, None]
+        ga -= (np.einsum("ij,ij->i", g, out2) * ca)[:, None] * a2
+        gb -= (np.einsum("ij,ij->j", g, out2) * cb)[:, None] * b2
+        return ga.reshape(a.shape), gb.reshape(b.shape)
 
     return tape._record(out, (a, b), bw)
 

@@ -351,14 +351,7 @@ class GradCheckReport:
     per_param: dict[str, float]
 
     def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-            "max_rel_error": self.max_rel_error,
-            "worst_param": self.worst_param,
-            "coords_checked": self.coords_checked,
-            "per_param": self.per_param,
-        }
+        return asdict(self)
 
 
 def gradcheck(dataset: SyntheticDataset, config: TrainConfig, *, tolerance: float = 1e-5,

@@ -151,15 +151,6 @@ class TestEvaluateRetrieval:
                       + comps["local"] + comps["negative"]).T
         assert np.array_equal(result.rankings, rank_rows(recomputed))
 
-    def test_threads_do_not_change_result(self):
-        ds = toy_dataset()
-        model = Model(CFG, seed=0)
-        idx = np.arange(len(ds.samples))
-        a = evaluate_retrieval(model, ds, idx, "global+local", threads=1)
-        b = evaluate_retrieval(model, ds, idx, "global+local", threads=3)
-        assert np.array_equal(a.rankings, b.rankings)
-        assert a.r_at == b.r_at
-
     def test_empty_split_rejected(self):
         ds = toy_dataset()
         with pytest.raises(InputError):
@@ -217,6 +208,31 @@ class TestNegativeEvidenceReport:
             doc["local_score"] + doc["negative_score"])
         assert doc["overall_score"] == pytest.approx(
             doc["global_score"] + doc["local_score"] + doc["local_negative_score"])
+
+    def test_one_word_region_scoring_per_report(self, monkeypatch):
+        import fpmine.similarity as similarity
+
+        calls = []
+        kernel = similarity.word_region_tensor
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(similarity, "word_region_tensor", counted)
+        ds = toy_dataset()
+        doc = negative_evidence_report(Model(CFG, seed=0), ds.samples[0], ds.samples[4])
+        assert len(calls) == 1
+        assert doc["masked_word_scores"] == [w["masked"] for w in doc["words"]]
+        assert doc["argmax_regions"] == [w["argmax_region"] for w in doc["words"]]
+
+    def test_masked_field_follows_learned_boundary(self):
+        ds = toy_dataset()
+        model = Model(CFG, ModelFlags(learnable_boundary=True), seed=0)
+        model.params["boundary_tau"] = np.array(0.1)
+        doc = negative_evidence_report(model, ds.samples[0], ds.samples[4])
+        for w in doc["words"]:
+            assert w["masked"] == (w["score"] if w["score"] < 0.1 else 0.0)
 
     def test_json_serializable(self):
         import json

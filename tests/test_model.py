@@ -1,11 +1,12 @@
-"""Batched model path vs the per-pair reference ops, plus flag semantics."""
+"""Batched model path vs per-pair calls and numpy oracles, plus flag semantics."""
 
 import numpy as np
 import pytest
 
 from fpmine import losses as ls
 from fpmine.dataset import generate_synthetic_dataset
-from fpmine.encoders import EncoderConfig, encode_image, encode_text
+from fpmine.encoders import (EncoderConfig, encode_image, encode_images_batch, encode_text,
+                             encode_texts_batch)
 from fpmine.errors import ConfigError
 from fpmine.model import FUSIONS, Model, ModelFlags, init_params
 from fpmine.numerics import GradTape, Tensor, backward
@@ -282,3 +283,93 @@ class TestLearnableBoundarySignal:
             report, grad = self.at(tau)
             assert report.mismatched > fixed.mismatched
             assert grad < 0.0
+
+
+class TestWordHingesAgainstNumpyOracle:
+    """Batched word hinges and identity term vs numpy written apart from fpmine.
+
+    The oracle starts from the word-score tensor and text mask that
+    ``score_components`` returns for the batch's images and captions, so it
+    checks the hinge, reduction and cross-entropy arithmetic, under a
+    learnable boundary on both sides of zero.
+    """
+
+    PLANS = ((2, 1, 5), (5, 3, 6), (7, 5, 8))  # (dataset seed, plan seed, model seed)
+
+    @staticmethod
+    def oracle(model, ds, plan, tau, reduction):
+        w = model.weights
+        img_idx = sorted({i for i, _ in plan.matched} | {i for i, _ in plan.mismatched})
+        txt_idx = sorted({t for _, t in plan.matched} | {t for _, t in plan.mismatched})
+        comps = model.score_components([ds.samples[i] for i in img_idx],
+                                       [ds.samples[t] for t in txt_idx])
+        scores, mask = comps["word_scores"], comps["text_mask"]
+
+        def per_pair(pairs, fn):
+            vals = []
+            for i, t in pairs:
+                words = scores[img_idx.index(i), txt_idx.index(t)][mask[txt_idx.index(t)]]
+                vals.append(fn(words))
+            return float(np.mean(vals) if reduction == "mean" else np.sum(vals))
+
+        matched = per_pair(plan.matched, lambda s: np.mean(
+            np.maximum(-w.matched_slope * (s - tau) + w.matched_bias, 0.0)))
+        mismatched = per_pair(plan.mismatched, lambda s: max(
+            w.mismatched_slope * (s.min() - min(tau, 0.0)) + w.mismatched_bias, 0.0))
+
+        def ce(x, labels, weight):
+            logits = x @ weight.T
+            top = logits.max(axis=1, keepdims=True)
+            lse = np.log(np.exp(logits - top).sum(axis=1)) + top[:, 0]
+            return float(np.mean(lse - logits[np.arange(len(labels)), labels]))
+
+        bound = model.bind(None)
+        p = model.params
+        img_raw = np.stack([ds.samples[i].image_raw for i in img_idx])
+        lengths = np.array([ds.samples[t].length for t in txt_idx])
+        txt_raw = np.zeros((len(txt_idx), lengths.max(), CFG.text_raw_dim))
+        for row, t in enumerate(txt_idx):
+            txt_raw[row, :lengths[row]] = ds.samples[t].text_raw
+        images = encode_images_batch(img_raw, bound, CFG)
+        texts = encode_texts_batch(txt_raw, lengths, bound, CFG)
+        img_ids = np.array([ds.samples[i].identity_id for i in img_idx])
+        txt_ids = np.array([ds.samples[t].identity_id for t in txt_idx])
+        flat = CFG.region_count * CFG.shared_dim
+        identity = (ce(images.global_embed.data, img_ids, p["id_global_w"])
+                    + ce(texts.global_embed.data, txt_ids, p["id_global_w"])
+                    + w.identity_local_weight * (
+                        ce(images.local_embed.data.reshape(-1, flat), img_ids, p["id_local_w"])
+                        + ce(texts.local_embed.data.reshape(-1, flat), txt_ids,
+                             p["id_local_w"])))
+        return matched, mismatched, identity
+
+    @pytest.mark.parametrize("reduction", ["mean", "sum"])
+    @pytest.mark.parametrize("tau", [-0.05, -0.01, 0.01, 0.2])
+    def test_batch_loss_matches_oracle(self, tau, reduction):
+        for ds_seed, plan_seed, model_seed in self.PLANS:
+            ds = toy_dataset(seed=ds_seed)
+            plan = next(iter(balanced_batches(ds, 6, seed=plan_seed)))
+            model = Model(CFG, ModelFlags(learnable_boundary=True,
+                                          word_loss_reduction=reduction), seed=model_seed)
+            model.params["boundary_tau"] = np.array(tau)
+            _, report, _ = model.batch_loss(ds, plan, None)
+            matched, mismatched, identity = self.oracle(model, ds, plan, tau, reduction)
+            assert report.matched == pytest.approx(matched, rel=1e-12, abs=1e-12)
+            assert report.mismatched == pytest.approx(mismatched, rel=1e-12, abs=1e-12)
+            assert report.identity == pytest.approx(identity, rel=1e-12, abs=1e-12)
+
+
+class TestTapeSize:
+    def test_batch_loss_tape_nodes_bounded(self):
+        # an upper bound, so later tape reductions still pass
+        ds = toy_dataset(seed=2)
+        plan = next(iter(balanced_batches(ds, 6, seed=1)))
+        tape = GradTape()
+        Model(CFG, seed=5).batch_loss(ds, plan, tape)
+        assert len(tape) <= 239
+
+    def test_score_components_are_read_only(self):
+        ds = toy_dataset()
+        comps = Model(CFG, seed=1).score_components(ds.samples[:3], ds.samples[3:7])
+        for name, arr in comps.items():
+            assert not arr.flags.writeable, name

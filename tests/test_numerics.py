@@ -121,6 +121,68 @@ class TestCosine:
             a, b = rng.normal(size=6), rng.normal(size=6)
             assert_grad_matches(nm.cosine, a, b)
 
+    def test_row_stacks_against_raw_formula(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=(4, 5)), rng.normal(size=(3, 5))
+        got = nm.cosine(Tensor(a), Tensor(b)).data
+        assert got.shape == (4, 3)
+        for i in range(4):
+            for j in range(3):
+                want = a[i] @ b[j] / (np.linalg.norm(a[i]) * np.linalg.norm(b[j]))
+                assert got[i, j] == pytest.approx(want, abs=1e-15)
+
+    def test_row_stacks_identical_rows_exactly_one(self):
+        m = np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 0.0]])
+        assert np.all(np.diag(nm.cosine(Tensor(m), Tensor(m)).data) == 1.0)
+
+    def test_row_stacks_zero_row_and_clamp(self):
+        a = np.array([[0.0, 0.0], [0.1, 0.1]])
+        b = np.array([[1.0, 2.0], [3.0, 3.0]])
+        out = nm.cosine(Tensor(a), Tensor(b)).data
+        assert out[0].tolist() == [0.0, 0.0]
+        assert np.all(np.abs(out) <= 1.0)
+        assert out[1, 1] == pytest.approx(1.0, abs=1e-15)
+
+    def test_row_stack_width_mismatch(self):
+        with pytest.raises(ShapeError):
+            nm.cosine(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
+        with pytest.raises(ShapeError):
+            nm.cosine(Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
+
+    def test_row_stack_gradient(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.normal(size=(3, 4)), rng.normal(size=(2, 4))
+        w = rng.normal(size=(3, 2))
+        assert_grad_matches(lambda x, y: (nm.cosine(x, y) * w).sum(), a, b)
+
+    def test_row_stack_gradient_zero_row(self):
+        # a zero row sits on the norm floor: its gradient is b_j / (eps |b_j|)
+        tape = GradTape()
+        a = tape.leaf(np.zeros((1, 2)))
+        b = tape.leaf([[3.0, 4.0]])
+        grads = backward(nm.cosine(a, b).sum(), tape)
+        assert np.allclose(grads[a].data, [[0.6 / nm.NORM_EPS, 0.8 / nm.NORM_EPS]])
+        assert grads[b].data.tolist() == [[0.0, 0.0]]
+
+    def test_untaped_forward_holds_one_output_buffer(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(5)
+        a, b = Tensor(rng.normal(size=(600, 8))), Tensor(rng.normal(size=(400, 8)))
+        tracemalloc.start()
+        try:
+            out = nm.cosine(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * out.data.nbytes
+
+    def test_one_tape_node(self):
+        tape = GradTape()
+        a, b = tape.leaf(np.ones((2, 3))), tape.leaf(np.eye(3))
+        nm.cosine(a, b)
+        assert len(tape) == 3
+
 
 class TestMaxPool:
     def test_rows_hand_value(self):

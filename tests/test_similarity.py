@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpmine import numerics as nm
+from fpmine.encoders import EmbeddingBundle
 from fpmine.errors import ShapeError
 from fpmine.numerics import GradTape, Tensor, backward, finite_difference_grad
 from fpmine.similarity import (MiningParams, global_similarity, local_similarity,
                                mining_mask, negative_similarity, overall_similarity,
-                               word_max_scores, word_region_scores)
+                               pair_breakdown, word_max_scores, word_region_scores)
 
 
 def mining(theta, phi):
@@ -266,3 +267,35 @@ class TestSimilarityGradients:
         rng = np.random.default_rng(8)
         a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
         self.fd_check(lambda x, y: local_similarity(x, y), [a, b])
+
+
+class TestPairBreakdown:
+    def setup_method(self):
+        rng = np.random.default_rng(9)
+        k, p, c, length = 3, 4, 5, 6
+
+        def bundle(parts, valid_len=None):
+            return EmbeddingBundle(Tensor(rng.normal(size=p)), Tensor(rng.normal(size=(k, p))),
+                                   Tensor(parts), valid_len)
+
+        self.image = bundle(rng.normal(size=(k, c)))
+        self.text = bundle(rng.normal(size=(c, length)), length)
+        self.params = mining(rng.normal(size=(3, c)), rng.normal(size=(3, c)))
+
+    def test_masked_scores_follow_boundary(self):
+        b = pair_breakdown(self.image, self.text, self.params, boundary=0.1)
+        # a word in [0, 0.1) is where the boundary rule and min(s, 0) differ
+        assert np.any((b.word_scores >= 0.0) & (b.word_scores < 0.1))
+        want = mining_mask(Tensor(b.word_scores), boundary=0.1).data
+        assert b.to_json()["masked_word_scores"] == want.tolist()
+        assert b.negative_score == pytest.approx(float(want.sum()), abs=1e-15)
+
+    def test_masked_scores_raw_without_mask(self):
+        b = pair_breakdown(self.image, self.text, self.params, use_mask=False)
+        assert b.to_json()["masked_word_scores"] == b.word_scores.tolist()
+
+    def test_argmax_regions_attain_word_max(self):
+        b = pair_breakdown(self.image, self.text, self.params)
+        scores = word_region_scores(self.image.raw_parts, self.text.raw_parts, self.params).data
+        assert np.array_equal(scores[b.argmax_regions, np.arange(scores.shape[1])],
+                              b.word_scores)
