@@ -22,8 +22,8 @@ from .dataset import (export_json, generate_synthetic_dataset, identity_split,
                       load_dataset, save_dataset)
 from .encoders import EncoderConfig
 from .errors import ConfigError, DataError, FpmineError, InputError, NumericalError
-from .evaluation import (ablation_suite, evaluate_retrieval, mining_activity,
-                         negative_evidence_report, planted_contradiction_pairs)
+from .evaluation import (ablation_suite, evaluate_with_activity, negative_evidence_report,
+                         planted_contradiction_pairs)
 from .losses import LossWeights
 from .model import FUSIONS, ModelFlags
 from .training import (TrainConfig, gradcheck, load_checkpoint, model_from_checkpoint,
@@ -232,12 +232,11 @@ def cmd_eval(args) -> int:
     _train_idx, val_idx = identity_split(dataset, tc.val_fraction, seed=tc.seed)
     if val_idx.size == 0:
         val_idx = np.arange(len(dataset.samples))
-    result = evaluate_retrieval(model, dataset, val_idx, fusion)
+    result, activity = evaluate_with_activity(model, dataset, val_idx, fusion)
     _write_json(run_dir / "results.json", result.to_json())
     print(f"{'fusion':<16}{'R@1':>8}{'R@5':>8}{'R@10':>8}")
     print(f"{fusion:<16}{result.r_at[1]:>8.2f}{result.r_at[5]:>8.2f}{result.r_at[10]:>8.2f}")
     if args.report:
-        activity = mining_activity(model, dataset, val_idx)
         pairs = planted_contradiction_pairs(dataset, val_idx)
         evidence = []
         for img_idx, txt_idx in pairs[:args.report_pairs]:

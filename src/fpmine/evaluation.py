@@ -15,7 +15,7 @@ from .dataset import SyntheticDataset, identity_split, twin_pairs
 from .encoders import Sample, encode_image, encode_text
 from .errors import ConfigError, InputError
 from .model import Model
-from .similarity import pair_breakdown
+from .similarity import fuse, pair_breakdown
 
 
 @dataclass(frozen=True)
@@ -65,18 +65,44 @@ def recall_at_k(rankings: np.ndarray, query_ids: np.ndarray, gallery_ids: np.nda
     return 100.0 * hits / rankings.shape[0]
 
 
-def evaluate_retrieval(model: Model, dataset: SyntheticDataset, indices,
-                       fusion: str, *, ks: tuple[int, ...] = (1, 5, 10)) -> RetrievalResult:
-    """Text-to-image retrieval over one identity-disjoint split."""
+def _split_samples(dataset: SyntheticDataset, indices) -> tuple[list[Sample], np.ndarray]:
     indices = np.asarray(indices, dtype=np.intp)
     if indices.size == 0:
         raise InputError("empty evaluation split")
     samples = [dataset.samples[i] for i in indices]
-    ids = np.array([s.identity_id for s in samples])
-    scores = model.score_matrix(samples, samples, fusion).T  # (queries, gallery)
-    rankings = rank_rows(scores)
+    return samples, np.array([s.identity_id for s in samples])
+
+
+def _retrieval_result(scores: np.ndarray, ids: np.ndarray, fusion: str,
+                      ks: tuple[int, ...]) -> RetrievalResult:
+    """Rank the gallery for every caption of an (images, captions) score matrix."""
+    rankings = rank_rows(scores.T)  # (queries, gallery)
     r_at = {k: recall_at_k(rankings, ids, ids, k) for k in ks}
-    return RetrievalResult(rankings, r_at, len(samples), len(samples), fusion)
+    return RetrievalResult(rankings, r_at, len(ids), len(ids), fusion)
+
+
+_INACTIVE = {"enabled": False, "mismatched_active_fraction": 0.0,
+             "matched_active_fraction": 0.0, "mean_negative_mismatched": 0.0,
+             "mean_negative_matched": 0.0}
+
+
+def _activity(negative: np.ndarray, ids: np.ndarray) -> dict:
+    mismatched = ids[:, None] != ids[None, :]
+    matched = ~mismatched
+    return {
+        "enabled": True,
+        "mismatched_active_fraction": float((negative[mismatched] < 0).mean()),
+        "matched_active_fraction": float((negative[matched] < 0).mean()),
+        "mean_negative_mismatched": float(negative[mismatched].mean()),
+        "mean_negative_matched": float(negative[matched].mean()),
+    }
+
+
+def evaluate_retrieval(model: Model, dataset: SyntheticDataset, indices,
+                       fusion: str, *, ks: tuple[int, ...] = (1, 5, 10)) -> RetrievalResult:
+    """Text-to-image retrieval over one identity-disjoint split."""
+    samples, ids = _split_samples(dataset, indices)
+    return _retrieval_result(model.score_matrix(samples, samples, fusion), ids, fusion, ks)
 
 
 def mining_activity(model: Model, dataset: SyntheticDataset, indices) -> dict:
@@ -85,24 +111,20 @@ def mining_activity(model: Model, dataset: SyntheticDataset, indices) -> dict:
     Reports the fraction of cross-identity (image, text) pairs with
     strictly negative summed evidence, and the same for matched pairs.
     """
-    indices = np.asarray(indices, dtype=np.intp)
-    samples = [dataset.samples[i] for i in indices]
     if not model.flags.use_mining:
-        return {"enabled": False, "mismatched_active_fraction": 0.0,
-                "matched_active_fraction": 0.0, "mean_negative_mismatched": 0.0,
-                "mean_negative_matched": 0.0}
+        return dict(_INACTIVE)
+    samples, ids = _split_samples(dataset, indices)
+    return _activity(model.score_components(samples, samples)["negative"], ids)
+
+
+def evaluate_with_activity(model: Model, dataset: SyntheticDataset, indices,
+                           fusion: str) -> tuple[RetrievalResult, dict]:
+    """``evaluate_retrieval`` and ``mining_activity`` from one scoring of the split."""
+    samples, ids = _split_samples(dataset, indices)
     comps = model.score_components(samples, samples)
-    neg = comps["negative"]
-    ids = np.array([s.identity_id for s in samples])
-    mismatched = ids[:, None] != ids[None, :]
-    matched = ~mismatched
-    return {
-        "enabled": True,
-        "mismatched_active_fraction": float((neg[mismatched] < 0).mean()),
-        "matched_active_fraction": float((neg[matched] < 0).mean()),
-        "mean_negative_mismatched": float(neg[mismatched].mean()),
-        "mean_negative_matched": float(neg[matched].mean()),
-    }
+    result = _retrieval_result(fuse(comps, fusion).data, ids, fusion, (1, 5, 10))
+    activity = _activity(comps["negative"], ids) if "negative" in comps else dict(_INACTIVE)
+    return result, activity
 
 
 def negative_evidence_report(model: Model, image_sample: Sample, text_sample: Sample) -> dict:

@@ -365,18 +365,22 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def reduce_max(a, axis: int = 0, keepdims: bool = False) -> Tensor:
-    """Max along one axis; gradient routes to the lowest-index maximizer."""
+    """Max along one axis; gradient routes to the lowest-index maximizer.
+
+    Without a tape only the values are computed; the maximizer index is
+    needed by the backward pass alone.
+    """
     a = _as_tensor(a)
     ad = a.data
     if ad.ndim == 0 or ad.shape[axis] == 0:
         raise ShapeError(f"cannot reduce empty axis {axis} of shape {ad.shape}")
+    tape = _tape_of(a)
+    if tape is None:
+        return Tensor._raw(np.max(ad, axis=axis, keepdims=keepdims))
     idx = np.argmax(ad, axis=axis)
     idxe = np.expand_dims(idx, axis)
     val = np.take_along_axis(ad, idxe, axis)
     out = val if keepdims else np.squeeze(val, axis=axis)
-    tape = _tape_of(a)
-    if tape is None:
-        return Tensor._raw(out)
 
     def bw(g):
         g = np.asarray(g)

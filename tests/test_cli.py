@@ -122,6 +122,43 @@ class TestTrainEval:
         report = json.loads((ev / "report.json").read_text())
         assert "mining_activity" in report
 
+    def test_eval_report_scores_split_once(self, tmp_path, config_file, data_dir, monkeypatch):
+        from fpmine.dataset import identity_split, load_dataset
+        from fpmine.evaluation import (evaluate_retrieval, mining_activity,
+                                       negative_evidence_report, planted_contradiction_pairs)
+        from fpmine.model import Model
+        from fpmine.training import model_from_checkpoint
+
+        run = tmp_path / "run"
+        assert main(["train", "--config", config_file, "--data",
+                     str(data_dir / "dataset.bin"), "--out", str(run)]) == 0
+        calls = []
+        score_components = Model.score_components
+
+        def counted(self, *args):
+            calls.append(len(args[0]))
+            return score_components(self, *args)
+
+        monkeypatch.setattr(Model, "score_components", counted)
+        ev = tmp_path / "eval"
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.bin"),
+                     "--data", str(data_dir / "dataset.bin"), "--report",
+                     "--out", str(ev)]) == 0
+        assert len(calls) == 1
+        monkeypatch.undo()
+
+        # the same documents as scoring separately for recall and for mining activity
+        ckpt = load_checkpoint(run / "checkpoint.bin")
+        model, ds = model_from_checkpoint(ckpt), load_dataset(data_dir / "dataset.bin")
+        _, val_idx = identity_split(ds, ckpt.train_config.val_fraction,
+                                    seed=ckpt.train_config.seed)
+        results = evaluate_retrieval(model, ds, val_idx, model.flags.fusion()).to_json()
+        evidence = [negative_evidence_report(model, ds.samples[i], ds.samples[t])
+                    for i, t in planted_contradiction_pairs(ds, val_idx)[:8]]
+        report = {"mining_activity": mining_activity(model, ds, val_idx), "evidence": evidence}
+        assert json.loads((ev / "results.json").read_text()) == json.loads(json.dumps(results))
+        assert json.loads((ev / "report.json").read_text()) == json.loads(json.dumps(report))
+
     def test_epochs_zero_checkpoint_equals_init(self, tmp_path, config_file, data_dir):
         run = tmp_path / "run0"
         code = main(["train", "--config", config_file, "--epochs", "0",

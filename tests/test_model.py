@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from fpmine import losses as ls
+from fpmine import model as model_module
 from fpmine.dataset import generate_synthetic_dataset
 from fpmine.encoders import (EncoderConfig, encode_image, encode_images_batch, encode_text,
                              encode_texts_batch)
 from fpmine.errors import ConfigError
+from fpmine.evaluation import rank_rows
 from fpmine.model import FUSIONS, Model, ModelFlags, init_params
 from fpmine.numerics import GradTape, Tensor, backward
 from fpmine.sampling import balanced_batches
@@ -373,3 +375,76 @@ class TestTapeSize:
         comps = Model(CFG, seed=1).score_components(ds.samples[:3], ds.samples[3:7])
         for name, arr in comps.items():
             assert not arr.flags.writeable, name
+
+
+class TestBlockedScoring:
+    """Evaluation scores images in blocks of at most SCORE_BLOCK_BYTES of slab."""
+
+    @staticmethod
+    def row_bytes(texts):
+        # one image's (K) x (n_txt * pad) float64 word-region slab
+        return CFG.region_count * len(texts) * max(s.length for s in texts) * 8
+
+    def setup_method(self):
+        self.ds = toy_dataset(identities=5, per_id=3)
+        self.images = [self.ds.samples[i] for i in (0, 2, 3, 5, 6, 8, 9, 11, 12, 14)]
+        self.texts = [self.ds.samples[i] for i in (1, 4, 7, 10, 13, 3, 0)]
+
+    def score(self, model, monkeypatch, budget):
+        monkeypatch.setattr(model_module, "SCORE_BLOCK_BYTES", budget)
+        return (model.score_components(self.images, self.texts),
+                model.score_matrix(self.images, self.texts, model.flags.fusion()))
+
+    @pytest.mark.parametrize("flags", [ModelFlags(), ModelFlags(use_mining=False),
+                                       ModelFlags(learnable_boundary=True)])
+    @pytest.mark.parametrize("rows", [3, 1])  # 3+3+3+1 images (ragged), or one per block
+    def test_blocks_match_one_block(self, monkeypatch, flags, rows):
+        model = Model(CFG, flags, seed=3)
+        if flags.learnable_boundary:
+            model.params["boundary_tau"] = np.array(0.1)
+        whole, whole_fused = self.score(model, monkeypatch, 1 << 40)
+        row_bytes = self.row_bytes(self.texts)
+        blocked, fused = self.score(model, monkeypatch, rows * row_bytes + row_bytes // 2)
+        assert blocked.keys() == whole.keys()
+        for name, arr in blocked.items():
+            assert arr.shape == whole[name].shape, name
+            assert not arr.flags.writeable, name
+            np.testing.assert_allclose(arr, whole[name], rtol=0, atol=1e-12, err_msg=name)
+        np.testing.assert_allclose(fused, whole_fused, rtol=0, atol=1e-12)
+        assert np.array_equal(rank_rows(fused.T), rank_rows(whole_fused.T))
+
+    def test_pair_in_last_block_matches_pair_breakdown(self, monkeypatch):
+        model = Model(CFG, seed=3)
+        comps, _ = self.score(model, monkeypatch, 3 * self.row_bytes(self.texts))
+        bound = model.bind(None)
+        i, j = len(self.images) - 1, 2  # the one-image block
+        b = pair_breakdown(encode_image(self.images[i].image_raw, bound, CFG),
+                           encode_text(self.texts[j].text_raw, bound, CFG),
+                           model.mining_params(bound))
+        length = self.texts[j].length
+        assert comps["global"][i, j] == pytest.approx(b.global_score, abs=1e-12)
+        assert comps["local"][i, j] == pytest.approx(b.local_score, abs=1e-12)
+        assert comps["negative"][i, j] == pytest.approx(b.negative_score, abs=1e-12)
+        assert comps["local_negative"][i, j] == pytest.approx(b.local_negative_score, abs=1e-12)
+        np.testing.assert_allclose(comps["word_scores"][i, j, :length], b.word_scores,
+                                   rtol=0, atol=1e-12)
+
+    def test_peak_allocation_is_outputs_plus_blocks(self, monkeypatch):
+        # 160 x 160 pairs: the whole (n*K) x (n*pad) slab is 4.9 MB, twice the
+        # outputs; a block is 256 KB. The 4x allowance covers one slab, its
+        # region max, the evidence temporaries, and the encodings.
+        import tracemalloc
+
+        ds = toy_dataset(identities=10, per_id=16)
+        budget = 1 << 18
+        monkeypatch.setattr(model_module, "SCORE_BLOCK_BYTES", budget)
+        model = Model(CFG, seed=1)
+        tracemalloc.start()
+        try:
+            comps = model.score_components(ds.samples, ds.samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = sum(arr.nbytes for arr in comps.values())
+        assert self.row_bytes(ds.samples) * len(ds.samples) > outputs + 4 * budget
+        assert peak <= outputs + 4 * budget

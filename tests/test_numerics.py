@@ -184,6 +184,37 @@ class TestCosine:
         assert len(tape) == 3
 
 
+class TestUntapedReduceMax:
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(9)
+        tied = rng.integers(-2, 3, size=(5, 4, 3)).astype(float)  # many ties per slice
+        tied[:, 1] = tied[:, 0]
+        return [rng.normal(size=(5, 4, 3)), tied, np.zeros((5, 4, 3))]
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_values_equal_taped_forward(self, axis, keepdims):
+        for x in self.inputs():
+            untaped = nm.reduce_max(Tensor(x), axis=axis, keepdims=keepdims)
+            taped = nm.reduce_max(GradTape().leaf(x), axis=axis, keepdims=keepdims)
+            assert untaped.tape is None
+            assert untaped.shape == taped.shape
+            np.testing.assert_array_equal(untaped.data, taped.data)
+
+    def test_allocates_only_its_output(self):
+        import tracemalloc
+
+        x = Tensor(np.random.default_rng(5).normal(size=(300, 6, 400)))
+        tracemalloc.start()
+        try:
+            out = nm.reduce_max(x, axis=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * out.data.nbytes
+
+
 class TestMaxPool:
     def test_rows_hand_value(self):
         out = nm.max_pool_rows(Tensor([[1.0, 5.0], [3.0, 2.0]]))
