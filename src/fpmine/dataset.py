@@ -16,6 +16,7 @@ the regime the mining branch is meant to resolve.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoders import EncoderConfig, Sample
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ShapeError
 
 _MAGIC = b"FPMDSET1"
 
@@ -312,8 +313,7 @@ class _Reader:
         return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
 
     def array(self, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
-        count = int(np.prod(shape)) if shape else 1
-        raw = self.read(count * np.dtype(dtype).itemsize)
+        raw = self.read(math.prod(shape) * np.dtype(dtype).itemsize)
         return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(np.float64)
 
 
@@ -328,18 +328,21 @@ def load_dataset(path) -> SyntheticDataset:
      feat_dim, shared_dim, proj_dim, detail_count, min_hamming) = r.unpack("<12I")
     (seed,) = r.unpack("<Q")
     noise, text_noise, hard_frac = r.unpack("<3d")
-    config = EncoderConfig(feature_dim=feat_dim, shared_dim=shared_dim,
-                           projection_dim=proj_dim, region_count=k, max_words=max_words,
-                           identity_count=n_id, image_raw_dim=img_dim, text_raw_dim=txt_dim)
-    attrs = r.array("<f8", (n_id, n_attr))
-    twin_raw = r.read(n_id * 4)
-    twin_parent = np.frombuffer(twin_raw, dtype="<i4").astype(np.int64)
-    samples = []
-    for _ in range(n_samples):
-        ident, length = r.unpack("<IH")
-        image = r.array("<f8", (k, img_dim))
-        text = r.array("<f8", (length, txt_dim))
-        samples.append(Sample(int(ident), image, text))
+    try:  # a header that no valid config or sample matches is corrupt data
+        config = EncoderConfig(feature_dim=feat_dim, shared_dim=shared_dim,
+                               projection_dim=proj_dim, region_count=k, max_words=max_words,
+                               identity_count=n_id, image_raw_dim=img_dim, text_raw_dim=txt_dim)
+        attrs = r.array("<f8", (n_id, n_attr))
+        twin_raw = r.read(n_id * 4)
+        twin_parent = np.frombuffer(twin_raw, dtype="<i4").astype(np.int64)
+        samples = []
+        for _ in range(n_samples):
+            ident, length = r.unpack("<IH")
+            image = r.array("<f8", (k, img_dim))
+            text = r.array("<f8", (length, txt_dim))
+            samples.append(Sample(int(ident), image, text))
+    except (ConfigError, ShapeError) as exc:
+        raise DataError(f"invalid dataset header in {path}: {exc}") from exc
     if r.off != len(r.blob):
         raise DataError(f"trailing bytes in dataset file: {path}")
     return SyntheticDataset(samples, config, int(seed), int(n_attr), float(noise),

@@ -168,15 +168,8 @@ def encode_images_batch(raws, params: Mapping[str, Tensor | np.ndarray],
     feats_flat = nm.matmul(flat, _param(params, "img_embed_w").T) + _param(params, "img_embed_b")
     region_feats = feats_flat.reshape((n, k, config.feature_dim))
 
-    local_w = _param(params, "img_local_w")
-    local_b = _param(params, "img_local_b")
-    heads = []
-    for strip in range(k):
-        w = nm.take_rows(local_w, [strip]).reshape((config.shared_dim, config.feature_dim))
-        b = nm.take_rows(local_b, [strip]).reshape((config.shared_dim,))
-        strip_feats = nm.take_rows(feats_flat, np.arange(n) * k + strip)
-        heads.append(nm.matmul(strip_feats, w.T) + b)
-    local_embed = nm.stack(heads, axis=1)
+    local_embed = nm.strip_heads(region_feats, _param(params, "img_local_w"),
+                                 _param(params, "img_local_b"))
 
     pooled = region_feats.max(axis=1)
     global_embed = nm.matmul(pooled, _param(params, "img_global_w").T) + _param(params, "img_global_b")
@@ -203,14 +196,8 @@ def encode_texts_batch(raws, lengths, params: Mapping[str, Tensor | np.ndarray],
     mask = np.arange(pad_len)[None, :] < lengths[:, None]
     pooled = nm.masked_max(word_feats, mask[:, :, None], axis=1)
 
-    local_w = _param(params, "txt_local_w")
-    local_b = _param(params, "txt_local_b")
-    heads = []
-    for strip in range(config.region_count):
-        w = nm.take_rows(local_w, [strip]).reshape((config.shared_dim, config.feature_dim))
-        b = nm.take_rows(local_b, [strip]).reshape((config.shared_dim,))
-        heads.append(nm.matmul(pooled, w.T) + b)
-    local_embed = nm.stack(heads, axis=1)
+    local_embed = nm.strip_heads(pooled, _param(params, "txt_local_w"),
+                                 _param(params, "txt_local_b"))
 
     global_embed = nm.matmul(pooled, _param(params, "txt_global_w").T) + _param(params, "txt_global_b")
     return TextEncodings(word_feats, local_embed, global_embed, mask, lengths)

@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import numerics as nm
-from .errors import ConfigError, InputError, ShapeError
+from .errors import ConfigError, ShapeError
 from .numerics import Tensor, _as_tensor
 
 
@@ -144,18 +144,7 @@ def batch_mismatched_word_loss(word_scores, text_mask, pairs_img, pairs_txt,
 
 def mean_identity_loss(embeddings, labels, classifier) -> Tensor:
     """Identity cross-entropy of softmax(embedding @ classifier.T), averaged over rows."""
-    xs = _as_tensor(embeddings)
-    w = _as_tensor(classifier)
-    labels = np.asarray(labels, dtype=np.intp)
-    n, n_classes = xs.shape[0], w.shape[0]
-    if labels.shape != (n,):
-        raise ShapeError(f"labels must be ({n},), got {labels.shape}")
-    if labels.min(initial=0) < 0 or labels.max(initial=-1) >= n_classes:
-        raise InputError("identity label out of classifier range")
-    logits = nm.matmul(xs, w.T)
-    lse = nm.logsumexp(logits, axis=1)
-    picked = nm.take_rows(logits.reshape((n * n_classes,)), np.arange(n) * n_classes + labels)
-    return nm.mean(nm.sub(lse, picked))
+    return nm.cross_entropy(nm.matmul(embeddings, nm.transpose(classifier)), labels)
 
 
 def batch_ranking_loss(sim, diff, pairs_img, pairs_txt, margin: float) -> Tensor:
@@ -165,17 +154,7 @@ def batch_ranking_loss(sim, diff, pairs_img, pairs_txt, margin: float) -> Tensor
     pair p is matched cell (pairs_img[p], pairs_txt[p]). Each side pays
     max(hardest negative - s + margin, 0), or 0 with no negative to pick.
     """
-    pairs_img = np.asarray(pairs_img, dtype=np.intp)
-    pairs_txt = np.asarray(pairs_txt, dtype=np.intp)
-    n_img, n_txt = sim.shape
-    pos = nm.take_rows(sim.reshape((n_img * n_txt,)), pairs_img * n_txt + pairs_txt)
-    hard_txt = nm.take_rows(nm.masked_max(sim, diff, axis=1, allow_empty=True), pairs_img)
-    hard_img = nm.take_rows(nm.masked_max(sim, diff, axis=0, allow_empty=True), pairs_txt)
-    avail_txt = diff.any(axis=1)[pairs_img].astype(np.float64)
-    avail_img = diff.any(axis=0)[pairs_txt].astype(np.float64)
-    side_t = nm.mul(nm.relu(nm.add(nm.sub(hard_txt, pos), margin)), avail_txt)
-    side_i = nm.mul(nm.relu(nm.add(nm.sub(hard_img, pos), margin)), avail_img)
-    return nm.mean(nm.add(side_t, side_i))
+    return nm.hardest_negative_hinge(sim, diff, pairs_img, pairs_txt, margin)
 
 
 # ---------------------------------------------------------- per-pair adapters

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, NumericalError, ShapeError
+from .errors import ContractError, InputError, NumericalError, ShapeError
 
 NORM_EPS = 1e-12
 
@@ -87,7 +87,7 @@ class Tensor:
         return self.data
 
     def __repr__(self) -> str:
-        kind = "leaf" if (self.tape is not None and self.tape._backwards[self.tid] is None) else (
+        kind = "leaf" if (self.tape is not None and self.tape._inputs[self.tid] == ()) else (
             "node" if self.tape is not None else "const")
         return f"Tensor(shape={self.shape}, {kind})"
 
@@ -147,6 +147,10 @@ class GradTape:
     every node's inputs precede it. Use from a single thread; evaluation
     without gradients simply runs ops on tensors that are not bound to
     any tape.
+
+    ``backward`` releases the tape (drops its closures and leaves, which point
+    back to it), so a dropped tape needs no cyclic garbage collection; ``len``
+    still counts its nodes, and recording on it raises ContractError.
     """
 
     def __init__(self):
@@ -159,15 +163,13 @@ class GradTape:
 
     def leaf(self, value, name: str | None = None) -> Tensor:
         """Register a trainable leaf; backward() always reports its gradient."""
-        t = Tensor(value)
-        t.tape = self
-        t.tid = len(self._inputs)
-        self._inputs.append(())
-        self._backwards.append(None)
+        t = self._record(Tensor(value).data, (), None)
         self._leaves.append(t)
         return t
 
     def _record(self, arr: np.ndarray, inputs: Sequence[Tensor], backward) -> Tensor:
+        if self._backwards is None:
+            raise ContractError("tape was released by backward()")
         tid = len(self._inputs)
         self._inputs.append(tuple(t.tid for t in inputs))
         self._backwards.append(backward)
@@ -178,12 +180,15 @@ def backward(loss: Tensor, tape: GradTape) -> dict[Tensor, Tensor]:
     """Reverse sweep from a scalar root; returns a gradient per trainable leaf.
 
     Leaves the root does not depend on get zero gradients. Raises
-    ContractError if the root is not a scalar recorded on ``tape``.
+    ContractError if the root is not a scalar recorded on ``tape``, or if
+    ``tape`` was already released (see ``GradTape``).
     """
     if loss.tape is not tape:
         raise ContractError("backward root is not recorded on this tape")
     if loss.shape != ():
         raise ContractError("backward root must be a scalar")
+    if tape._backwards is None:
+        raise ContractError("tape was released by an earlier backward()")
     adjoint: list[np.ndarray | None] = [None] * len(tape)
     adjoint[loss.tid] = np.ones((), dtype=np.float64)
     for tid in range(loss.tid, -1, -1):
@@ -208,6 +213,7 @@ def backward(loss: Tensor, tape: GradTape) -> dict[Tensor, Tensor]:
         else:
             # np.array keeps 0-d shape (ascontiguousarray would promote to 1-d)
             result[leaf] = Tensor._raw(np.array(g, dtype=np.float64, order="C"))
+    tape._backwards = tape._leaves = None
     return result
 
 
@@ -601,6 +607,98 @@ def cosine(a, b) -> Tensor:
     return tape._record(out, (a, b), bw)
 
 
+def strip_heads(x, w, b) -> Tensor:
+    """K linear heads in one stacked matmul: out[i, k] = w[k] @ x[i, k] + b[k].
+
+    ``x`` is (n, K, C), one input per strip, or (n, C), shared by every
+    strip; ``w`` is (K, P, C) and ``b`` (K, P); the result is (n, K, P).
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if (w.ndim != 3 or b.shape != w.shape[:2] or x.ndim not in (2, 3)
+            or x.shape[-1] != w.shape[2] or x.shape[1:-1] not in ((), w.shape[:1])):
+        raise ShapeError(f"strip_heads cannot apply {w.shape} heads to inputs {x.shape}")
+    xd, wd = x.data, w.data
+    xk = xd.transpose(1, 0, 2) if xd.ndim == 3 else xd  # (K, n, C) or shared (n, C)
+    out = np.ascontiguousarray(np.matmul(xk, wd.transpose(0, 2, 1)).transpose(1, 0, 2))
+    out += b.data
+    tape = _tape_of(x, w, b)
+    if tape is None:
+        return Tensor._raw(out)
+
+    def bw(g):
+        gk = np.asarray(g).transpose(1, 0, 2)  # (K, n, P)
+        gx = (np.matmul(gk, wd).transpose(1, 0, 2) if xd.ndim == 3
+              else np.reshape(g, (xd.shape[0], -1)) @ wd.reshape((-1, xd.shape[1])))
+        return gx, np.matmul(gk.transpose(0, 2, 1), xk), np.sum(g, axis=0)
+
+    return tape._record(out, (x, w, b), bw)
+
+
+def cross_entropy(logits, labels) -> Tensor:
+    """Mean over the rows of (n >= 1, classes) logits of logsumexp(z_i) - z_i[labels[i]].
+
+    The row max is subtracted before exponentiating; the gradient is
+    (softmax - onehot) / n.
+    """
+    z, labels = _as_tensor(logits), np.asarray(labels, dtype=np.intp)
+    if z.ndim != 2 or z.shape[0] == 0 or labels.shape != z.shape[:1]:
+        raise ShapeError(f"cross_entropy of {z.shape} logits with {labels.shape} labels")
+    if labels.min() < 0 or labels.max() >= z.shape[1]:
+        raise InputError("label out of classifier range")
+    zd, scale, rows = z.data, 1.0 / z.shape[0], np.arange(z.shape[0])
+    m = np.max(zd, axis=1, keepdims=True)
+    e = np.exp(zd - m)
+    total = np.sum(e, axis=1, keepdims=True)
+    out = np.sum((np.log(total) + m)[:, 0] - zd[rows, labels]) * scale
+    tape = _tape_of(z)
+    if tape is None:
+        return Tensor._raw(out)
+
+    def bw(g):
+        d = e / total
+        d[rows, labels] -= 1.0
+        return (d * (np.asarray(g) * scale),)
+
+    return tape._record(out, (z,), bw)
+
+
+def hardest_negative_hinge(sim, negatives, rows, cols, margin: float) -> Tensor:
+    """Mean over pairs of a two-sided hinge against their hardest negatives.
+
+    Pair p is cell (rows[p], cols[p]) of the (n, m) ``sim``, with score s;
+    ``negatives`` is a constant boolean mask of the cells that may serve as
+    negatives. The pair pays max(h - s + margin, 0) for h the largest
+    negative in its row, and again for its column. A side without a
+    negative costs 0 and passes no gradient; ties route to the lowest index.
+    """
+    s = _as_tensor(sim)
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    if s.ndim != 2 or rows.ndim != 1 or rows.size == 0 or cols.shape != rows.shape:
+        raise ShapeError(f"hardest_negative_hinge of {s.shape} at pairs {rows.shape}, {cols.shape}")
+    sd, n, width = s.data, rows.size, s.shape[1]
+    neg = np.broadcast_to(np.asarray(negatives, dtype=bool), sd.shape)
+    work = np.where(neg, sd, -np.inf)
+    # flat cells: each pair's hardest row negative, hardest column negative, the pair
+    cells = np.concatenate([rows * width + np.argmax(work, axis=1)[rows],
+                            np.argmax(work, axis=0)[cols] * width + cols, rows * width + cols])
+    avail = np.concatenate([neg.any(axis=1)[rows], neg.any(axis=0)[cols]])
+    picked = sd.reshape(-1)[cells]
+    gap = picked[:2 * n] - np.concatenate([picked[2 * n:], picked[2 * n:]]) + margin
+    side = np.maximum(gap, 0.0) * avail
+    out = np.sum(side[:n] + side[n:]) * (1.0 / n)
+    tape = _tape_of(s)
+    if tape is None:
+        return Tensor._raw(out)
+    active = (gap > 0) & avail
+
+    def bw(g):
+        c = active * (np.asarray(g) * (1.0 / n))
+        weights = np.concatenate([c, -(c[:n] + c[n:])])
+        return (np.bincount(cells, weights, minlength=sd.size).reshape(sd.shape),)
+
+    return tape._record(out, (s,), bw)
+
+
 def dot(a, b) -> Tensor:
     return reduce_sum(mul(a, b))
 
@@ -674,7 +772,7 @@ __all__ = [
     "maximum", "minimum", "relu", "clamp",
     "sqrt", "exp", "log",
     "take_rows", "stack", "l2_normalize",
-    "cosine", "dot", "mean",
+    "cosine", "strip_heads", "cross_entropy", "hardest_negative_hinge", "dot", "mean",
     "max_pool_rows", "max_pool_cols", "logsumexp",
     "finite_difference_grad",
 ]

@@ -9,6 +9,7 @@ replays the remaining epochs exactly.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -298,39 +299,43 @@ def load_checkpoint(path) -> Checkpoint:
     if version != _CKPT_VERSION:
         raise DataError(f"unsupported checkpoint version {version}")
     (hlen,) = struct.unpack("<Q", read(8))
-    header = json.loads(read(hlen).decode("utf-8"))
-    (count,) = struct.unpack("<I", read(4))
-    table: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack("<H", read(2))
-        name = read(nlen).decode("utf-8")
-        (ndim,) = struct.unpack("<B", read(1))
-        shape = tuple(struct.unpack("<I", read(4))[0] for _ in range(ndim))
-        size = int(np.prod(shape)) if shape else 1
-        table[name] = np.frombuffer(read(size * 8), dtype="<f8").reshape(shape).astype(np.float64)
-    if off != len(blob):
-        raise DataError(f"trailing bytes in checkpoint: {path}")
+    try:
+        header = json.loads(read(hlen).decode("utf-8"))
+        (count,) = struct.unpack("<I", read(4))
+        table: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (nlen,) = struct.unpack("<H", read(2))
+            name = read(nlen).decode("utf-8")
+            (ndim,) = struct.unpack("<B", read(1))
+            shape = tuple(struct.unpack("<I", read(4))[0] for _ in range(ndim))
+            table[name] = np.frombuffer(read(math.prod(shape) * 8),
+                                        dtype="<f8").reshape(shape).astype(np.float64)
+        if off != len(blob):
+            raise DataError(f"trailing bytes in checkpoint: {path}")
 
-    groups: dict[str, dict[str, np.ndarray]] = {"param": {}, "adam_m": {}, "adam_v": {}}
-    for full, arr in table.items():
-        prefix, _, name = full.partition("/")
-        if prefix not in groups or not name:
-            raise DataError(f"unknown tensor entry {full!r} in checkpoint")
-        groups[prefix][name] = arr
-    rng_state = header["rng_state"]
-    # JSON round-trips the PCG64 state ints losslessly (arbitrary precision)
-    return Checkpoint(
-        version=version,
-        encoder_config=EncoderConfig(**header["encoder_config"]),
-        train_config=TrainConfig.from_json(header["train_config"]),
-        params=groups["param"],
-        adam_m=groups["adam_m"],
-        adam_v=groups["adam_v"],
-        adam_t=header["adam_t"],
-        step=header["step"],
-        epoch=header["epoch"],
-        rng_state=rng_state,
-    )
+        groups: dict[str, dict[str, np.ndarray]] = {"param": {}, "adam_m": {}, "adam_v": {}}
+        for full, arr in table.items():
+            prefix, _, name = full.partition("/")
+            if prefix not in groups or not name:
+                raise DataError(f"unknown tensor entry {full!r} in checkpoint")
+            groups[prefix][name] = arr
+        # JSON round-trips the PCG64 state ints losslessly (arbitrary precision)
+        return Checkpoint(
+            version=version,
+            encoder_config=EncoderConfig(**header["encoder_config"]),
+            train_config=TrainConfig.from_json(header["train_config"]),
+            params=groups["param"],
+            adam_m=groups["adam_m"],
+            adam_v=groups["adam_v"],
+            adam_t=header["adam_t"],
+            step=header["step"],
+            epoch=header["epoch"],
+            rng_state=header["rng_state"],
+        )
+    except DataError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:  # bad UTF-8, JSON, fields or values
+        raise DataError(f"corrupt checkpoint header in {path}: {exc!r}") from exc
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> Model:

@@ -185,6 +185,23 @@ def make_boundary_path(rng):
     return ("word losses with learnable boundary", boundary_inputs, boundary_fn)
 
 
+def make_strip_heads_path(rng):
+    """All K strip heads at once, on per-strip (image) and shared (text) inputs."""
+    n, k, c, p = 3, 3, 4, 2
+
+    def heads_inputs():
+        return [rng.normal(size=(n, k, c)), rng.normal(size=(n, c)),
+                rng.normal(size=(k, p, c)), rng.normal(size=(k, p))]
+
+    mix = np.linspace(-1.0, 1.0, n * k * p).reshape(n, k, p)
+
+    def heads_fn(per_strip, shared, w, b):
+        return nm.add((nm.strip_heads(per_strip, w, b) * mix).sum(),
+                      (nm.strip_heads(shared, w, b) * mix[::-1]).sum())
+
+    return ("strip heads", heads_inputs, heads_fn)
+
+
 def test_criterion_1_gradient_suite(acceptance_record):
     started = time.perf_counter()
     rng = np.random.default_rng(20240501)
@@ -192,6 +209,7 @@ def test_criterion_1_gradient_suite(acceptance_record):
     points_per_path = 100 // len(paths) + 1
     # own stream: the points drawn for the paths above stay as they were
     paths.append(make_boundary_path(np.random.default_rng(20240502)))
+    paths.append(make_strip_heads_path(np.random.default_rng(20240503)))
     worst = 0.0
     worst_path = ""
     for name, sampler, fn in paths:

@@ -1,6 +1,7 @@
 """End-to-end command-line workflows, exit codes, manifests."""
 
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +193,25 @@ class TestTrainEval:
         code = main(["eval", "--checkpoint", str(bad),
                      "--data", str(data_dir / "dataset.bin"),
                      "--out", str(tmp_path / "e")])
+        assert code == 2
+
+    @pytest.mark.parametrize("header", [b"{", b"\xff", b"[]", b'{"version": 1}'])
+    def test_corrupt_checkpoint_header_exit_2(self, tmp_path, data_dir, header):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"FPMCKPT1" + struct.pack("<IQ", 1, len(header)) + header
+                        + struct.pack("<I", 0))
+        code = main(["eval", "--checkpoint", str(bad),
+                     "--data", str(data_dir / "dataset.bin"),
+                     "--out", str(tmp_path / "e")])
+        assert code == 2
+
+    def test_zero_region_count_dataset_exit_2(self, tmp_path, config_file, data_dir):
+        blob = bytearray((data_dir / "dataset.bin").read_bytes())
+        blob[16:20] = struct.pack("<I", 0)  # third header count: region_count
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(bytes(blob))
+        code = main(["train", "--config", config_file, "--data", str(bad),
+                     "--out", str(tmp_path / "r")])
         assert code == 2
 
     def test_usage_error_exit_1(self):

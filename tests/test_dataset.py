@@ -1,9 +1,15 @@
 """Synthetic generator and dataset file format."""
 
+import functools
 import json
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpmine.dataset import (SyntheticDataset, export_json, generate_synthetic_dataset,
                             identity_split, load_dataset, save_dataset, twin_groups,
@@ -172,3 +178,55 @@ class TestSerialization:
         assert doc["config"]["region_count"] == CFG.region_count
         assert len(doc["samples"]) == len(ds.samples)
         assert doc["samples"][0]["length"] == ds.samples[0].length
+
+
+HEADER_END = 8 + 12 * 4 + 8 + 3 * 8  # magic, 12 counts and sizes, seed, 3 noise levels
+
+
+@functools.lru_cache(maxsize=1)
+def dataset_blob() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.bin"
+        save_dataset(gen(identities=3, per_id=2), path)
+        return path.read_bytes()
+
+
+def load_bytes(blob: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.bin"
+        path.write_bytes(blob)
+        return load_dataset(path)
+
+
+class TestHeaderFuzz:
+    """A corrupt FPMDSET1 header is a DataError, never a config or decoding error."""
+
+    def test_zero_region_count_is_data_error(self):
+        blob = bytearray(dataset_blob())
+        blob[16:20] = struct.pack("<I", 0)  # third count: region_count
+        with pytest.raises(DataError):
+            load_bytes(bytes(blob))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_truncated_header(self, data):
+        with pytest.raises(DataError):
+            load_bytes(dataset_blob()[:data.draw(st.integers(0, HEADER_END - 1))])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_bit_flipped_header(self, data):
+        blob = bytearray(dataset_blob())
+        blob[data.draw(st.integers(0, HEADER_END - 1))] ^= 1 << data.draw(st.integers(0, 7))
+        # a flip in a field that sizes nothing (a seed, a noise level) still loads
+        try:
+            assert isinstance(load_bytes(bytes(blob)), SyntheticDataset)
+        except DataError:
+            pass
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.binary(min_size=HEADER_END - 8, max_size=HEADER_END - 8))
+    def test_garbage_header(self, garbage):
+        blob = dataset_blob()
+        with pytest.raises(DataError):
+            load_bytes(blob[:8] + garbage + blob[HEADER_END:])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpmine import numerics as nm
-from fpmine.errors import ContractError, ShapeError
+from fpmine.errors import ContractError, InputError, ShapeError
 from fpmine.numerics import GradTape, Tensor, backward, finite_difference_grad
 
 
@@ -215,6 +215,148 @@ class TestUntapedReduceMax:
         assert peak < 1.25 * out.data.nbytes
 
 
+def per_strip_heads(x, w, b):
+    """The per-strip composition strip_heads replaced: one head per strip, then stack."""
+    k, p, c = w.shape
+    heads = []
+    for strip in range(k):
+        ws = nm.take_rows(w, [strip]).reshape((p, c))
+        bs = nm.take_rows(b, [strip]).reshape((p,))
+        xs = x if x.ndim == 2 else nm.take_rows(x.reshape((x.shape[0] * k, c)),
+                                                 np.arange(x.shape[0]) * k + strip)
+        heads.append(nm.matmul(xs, ws.T) + bs)
+    return nm.stack(heads, axis=1)
+
+
+def composed_cross_entropy(logits, labels):
+    """logsumexp minus the picked label logit, averaged: the composition cross_entropy replaced."""
+    n, classes = logits.shape
+    picked = nm.take_rows(logits.reshape((n * classes,)), np.arange(n) * classes + labels)
+    return nm.mean(nm.sub(nm.logsumexp(logits, axis=1), picked))
+
+
+def composed_hinge(sim, diff, rows, cols, margin):
+    """Two masked maxes, three gathers and the relu/mean chain hardest_negative_hinge replaced."""
+    width = sim.shape[1]
+    pos = nm.take_rows(sim.reshape((sim.size,)), rows * width + cols)
+    hard_r = nm.take_rows(nm.masked_max(sim, diff, axis=1, allow_empty=True), rows)
+    hard_c = nm.take_rows(nm.masked_max(sim, diff, axis=0, allow_empty=True), cols)
+    side_r = nm.mul(nm.relu(nm.add(nm.sub(hard_r, pos), margin)), diff.any(axis=1)[rows] * 1.0)
+    side_c = nm.mul(nm.relu(nm.add(nm.sub(hard_c, pos), margin)), diff.any(axis=0)[cols] * 1.0)
+    return nm.mean(nm.add(side_r, side_c))
+
+
+def assert_same_op(new, old, *arrays):
+    """Equal values and gradients (to 1e-12) of two scalar functions of the arrays."""
+    np.testing.assert_allclose(new(*map(Tensor, arrays)).item(),
+                               old(*map(Tensor, arrays)).item(), rtol=1e-12, atol=0)
+    for gn, go in zip(grad_of(new, *arrays), grad_of(old, *arrays)):
+        np.testing.assert_allclose(gn, go, rtol=1e-12, atol=1e-15)
+
+
+def nodes_of(fn, *arrays):
+    tape = GradTape()
+    fn(*[tape.leaf(a) for a in arrays])
+    return len(tape) - len(arrays)
+
+
+class TestStripHeads:
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_matches_per_strip_heads(self, shared):
+        rng = np.random.default_rng(21)
+        n, k, p, c = 5, 4, 3, 6
+        x = rng.normal(size=(n, c) if shared else (n, k, c))
+        w, b = rng.normal(size=(k, p, c)), rng.normal(size=(k, p))
+        mix = rng.normal(size=(n, k, p))
+        assert_same_op(lambda *t: (nm.strip_heads(*t) * mix).sum(),
+                       lambda *t: (per_strip_heads(*t) * mix).sum(), x, w, b)
+
+    def test_hand_value(self):
+        x = np.array([[[1.0, 2.0], [3.0, 4.0]]])          # one sample, two strips
+        w = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])        # strip 0 keeps x0, strip 1 x1
+        out = nm.strip_heads(Tensor(x), Tensor(w), Tensor([[10.0], [20.0]]))
+        assert out.data.tolist() == [[[11.0], [24.0]]]
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            nm.strip_heads(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 5, 4))),
+                           Tensor(np.ones((2, 5))))
+
+    def test_one_tape_node(self):
+        rng = np.random.default_rng(22)
+        arrays = rng.normal(size=(4, 3, 5)), rng.normal(size=(3, 2, 5)), rng.normal(size=(3, 2))
+        assert nodes_of(nm.strip_heads, *arrays) == 1
+
+
+class TestCrossEntropy:
+    def test_matches_composition(self):
+        rng = np.random.default_rng(23)
+        labels = np.array([0, 3, 3, 1])
+        assert_same_op(lambda z: nm.cross_entropy(z, labels),
+                       lambda z: composed_cross_entropy(z, labels),
+                       rng.normal(size=(4, 5)) * 4)
+
+    def test_gradient_is_softmax_minus_onehot(self):
+        z = np.array([[1.0, 2.0, 0.5], [0.0, 0.0, 0.0]])
+        soft = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+        soft[[0, 1], [2, 0]] -= 1.0
+        np.testing.assert_allclose(grad_of(lambda t: nm.cross_entropy(t, [2, 0]), z)[0],
+                                   soft / 2, rtol=0, atol=1e-15)
+
+    def test_bad_labels(self):
+        with pytest.raises(InputError):
+            nm.cross_entropy(Tensor(np.zeros((2, 3))), [0, 3])
+        with pytest.raises(ShapeError):
+            nm.cross_entropy(Tensor(np.zeros((2, 3))), [0])
+        with pytest.raises(ShapeError):
+            nm.cross_entropy(Tensor(np.zeros((0, 3))), [])
+
+    def test_one_tape_node(self):
+        assert nodes_of(lambda z: nm.cross_entropy(z, [1, 0]), np.ones((2, 3))) == 1
+
+
+class TestHardestNegativeHinge:
+    def test_matches_composition(self):
+        rng = np.random.default_rng(24)
+        diff = rng.random((6, 5)) < 0.6
+        diff[2] = False                                    # a row without negatives
+        diff[:, 4] = False                                 # a column without negatives
+        rows, cols = np.array([0, 2, 3, 3, 5]), np.array([1, 0, 4, 2, 4])
+        sim = rng.uniform(-0.5, 0.5, size=(6, 5))
+        assert_same_op(lambda s: nm.hardest_negative_hinge(s, diff, rows, cols, 0.2),
+                       lambda s: composed_hinge(s, diff, rows, cols, 0.2), sim)
+
+    def test_ties_route_to_lowest_index(self):
+        sim = np.array([[0.5, 0.3, 0.3],
+                        [0.3, 0.5, 0.1],
+                        [0.3, 0.1, 0.5]])
+        diff = ~np.eye(3, dtype=bool)
+        g = grad_of(lambda s: nm.hardest_negative_hinge(s, diff, [0], [0], 0.3), sim)[0]
+        # row 0 ties at columns 1 and 2, column 0 at rows 1 and 2: the lower index wins
+        assert g.tolist() == [[-2.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+
+    def test_side_without_negative_costs_nothing(self):
+        sim = np.array([[0.1, 0.9], [0.9, 0.1]])
+        diff = np.array([[False, True], [False, False]])   # one negative, at (0, 1)
+        # pair (1, 0): neither its row nor its column holds a negative
+        assert nm.hardest_negative_hinge(Tensor(sim), diff, [1], [0], 0.2).item() == 0.0
+        grad = grad_of(lambda s: nm.hardest_negative_hinge(s, diff, [1], [0], 0.2), sim)[0]
+        assert not grad.any()
+        none = np.zeros((2, 2), dtype=bool)
+        assert nm.hardest_negative_hinge(Tensor(sim), none, [0, 1], [0, 1], 0.2).item() == 0.0
+        grad = grad_of(lambda s: nm.hardest_negative_hinge(s, none, [0], [0], 0.2), sim)[0]
+        assert not grad.any()
+
+    def test_no_pairs_rejected(self):
+        with pytest.raises(ShapeError):
+            nm.hardest_negative_hinge(Tensor(np.zeros((2, 2))), np.ones((2, 2), bool), [], [], 0.2)
+
+    def test_one_tape_node(self):
+        diff = ~np.eye(3, dtype=bool)
+        assert nodes_of(lambda s: nm.hardest_negative_hinge(s, diff, [0, 1], [0, 1], 0.2),
+                        np.ones((3, 3))) == 1
+
+
 class TestMaxPool:
     def test_rows_hand_value(self):
         out = nm.max_pool_rows(Tensor([[1.0, 5.0], [3.0, 2.0]]))
@@ -304,6 +446,21 @@ class TestBackward:
         xg = tape_g.leaf(x0)
         gg = backward(g(xg), tape_g)[xg].data
         assert np.allclose(both, gf + gg, rtol=0, atol=1e-12)
+
+
+class TestTapeRelease:
+    def test_backward_releases_and_keeps_length(self):
+        tape = GradTape()
+        a, b = tape.leaf([[1.0, 2.0]]), tape.leaf([[2.0, -1.0]])
+        loss = nm.cosine(a, b).sum()
+        backward(loss, tape)
+        assert len(tape) == 4
+        with pytest.raises(ContractError):
+            backward(loss, tape)
+        with pytest.raises(ContractError):
+            nm.mul(a, 2.0)
+        with pytest.raises(ContractError):
+            tape.leaf(1.0)
 
 
 class TestKinkConventions:

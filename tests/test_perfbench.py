@@ -1,8 +1,10 @@
-"""Smoke run of the benchmark: the small gallery passes every output check.
+"""Smoke runs of the benchmark: each small workload passes every output check.
 
 The small gallery (300 samples) spans several scoring blocks, so the
 benchmark's independent reference scorer and its ranking and recall checks
-cover blocked evaluation end to end.
+cover blocked evaluation end to end. The small training run checks tape
+gradients against central differences through the full model, so every
+tape primitive of a training step is covered end to end.
 """
 
 import json
@@ -13,12 +15,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_small_gallery_eval_is_correct():
+def run_small(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "gallery-eval", "--small",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--small",
          "--seconds", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_small_gallery_eval_is_correct():
+    run_small("gallery-eval")
+
+
+def test_small_train_is_correct():
+    run_small("train")

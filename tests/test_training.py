@@ -1,7 +1,14 @@
 """Optimizer, training loop, checkpoints, gradcheck."""
 
+import functools
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpmine.dataset import generate_synthetic_dataset, identity_split
 from fpmine.encoders import EncoderConfig
@@ -218,6 +225,64 @@ class TestCheckpoint:
         s1 = result.model.score_matrix([ds.samples[0]], [ds.samples[1]], "full")
         s2 = rebuilt.score_matrix([ds.samples[0]], [ds.samples[1]], "full")
         assert np.array_equal(s1, s2)
+
+
+@functools.lru_cache(maxsize=1)
+def checkpoint_blob() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.bin"
+        save_checkpoint(train(toy_dataset(), toy_config(epochs=0)).checkpoint, path)
+        return path.read_bytes()
+
+
+def header_end(blob: bytes) -> int:
+    """End of the magic, version, length and JSON header of an FPMCKPT1 file."""
+    return 20 + struct.unpack("<Q", blob[12:20])[0]
+
+
+def load_bytes(blob: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.bin"
+        path.write_bytes(blob)
+        return load_checkpoint(path)
+
+
+class TestCheckpointHeaderFuzz:
+    """A corrupt header is a DataError, never a raw decoding or lookup error."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_truncated_header(self, data):
+        blob = checkpoint_blob()
+        cut = data.draw(st.integers(0, header_end(blob) - 1))
+        with pytest.raises(DataError):
+            load_bytes(blob[:cut])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_bit_flipped_header(self, data):
+        blob = bytearray(checkpoint_blob())
+        blob[data.draw(st.integers(0, header_end(blob) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+        # a flip that leaves a valid header of other values (a digit to a digit) loads
+        try:
+            assert isinstance(load_bytes(bytes(blob)), Checkpoint)
+        except DataError:
+            pass
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.binary(max_size=200))
+    def test_garbage_header(self, garbage):
+        blob = checkpoint_blob()
+        head = blob[:12] + struct.pack("<Q", len(garbage)) + garbage
+        with pytest.raises(DataError):
+            load_bytes(head + blob[header_end(blob):])
+
+    @pytest.mark.parametrize("header", [b"[]", b'"text"', b"{}", b"\xff\xfe", b'{"version": 1}'])
+    def test_well_formed_but_wrong_header(self, header):
+        blob = checkpoint_blob()
+        with pytest.raises(DataError):
+            load_bytes(blob[:12] + struct.pack("<Q", len(header)) + header
+                       + blob[header_end(blob):])
 
 
 class TestBranchIsolation:
