@@ -19,21 +19,22 @@ from . import losses as ls
 from . import numerics as nm
 from . import similarity as sim
 from .encoders import (EncoderConfig, ImageEncodings, Sample, TextEncodings,
-                       encode_images_batch, encode_texts_batch, init_encoder_params)
+                       encode_images_batch, encode_texts_batch, encoder_param_shapes,
+                       init_encoder_params)
 from .errors import ConfigError
 from .losses import LossReport, LossWeights
 from .numerics import GradTape, Tensor
 from .sampling import BatchPlan
 from .similarity import FUSIONS, MiningParams  # noqa: F401 (FUSIONS is re-exported)
 
-# Bytes of float64 word-region slab that evaluation scores at once. Chosen on
-# a 600 x 600 evaluation (K = 6, pad 16; 2 cores, numpy 2.4.6 / OpenBLAS),
-# median wall / CPU ms per evaluation: 514 / 1008 at 4 MiB, 421 / 834 at 8,
-# 320-415 / 632-823 at 16, 294-358 / 584-709 at 32, 376 / 742 at 48 MiB.
-# Every block repeats about 2.5 ms of fixed work (1.3 ms of it the text side's
-# projection and norms); above 32 MiB glibc maps each slab afresh (page faults
-# per evaluation 9053 at 48 MiB, 4574 at 32).
-SCORE_BLOCK_BYTES = 32 * 2 ** 20
+# Bytes of the float64 (rows, n_txt * pad) word scores of one evaluation block,
+# whose working set is about four such arrays. Chosen on a 600 x 600 evaluation
+# (K = 6, pad 16; 2 cores, numpy 2.4.6 / OpenBLAS), median wall / CPU ms: 422 / 811
+# at 1 MiB, 323 / 626 at 2, 276-335 / 540-582 at 4, 271-319 / 528-605 at 8,
+# 276-294 / 539-553 at 12, 282-301 / 526-578 at 24-31; peak RSS of one evaluation
+# in a fresh process 84 MB at 4 MiB, 99 at 8, 140 at 16, 175 at 24. Each block
+# repeats about 2.5 ms of fixed work (1.3 ms of it the text side's projection).
+SCORE_BLOCK_BYTES = 8 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -68,21 +69,28 @@ class ModelFlags:
         return "local" if self.use_local else "global"
 
 
+def param_shapes(config: EncoderConfig, flags: ModelFlags) -> dict[str, tuple[int, ...]]:
+    """Every trainable array's shape, in the order ``init_params`` draws them."""
+    m, c, ids, p = (config.projection_dim, config.feature_dim, config.identity_count,
+                    config.shared_dim)
+    return {**encoder_param_shapes(config), "mining_region_proj": (m, c),
+            "mining_word_proj": (m, c), "id_global_w": (ids, p),
+            "id_local_w": (ids, config.region_count * p),
+            **({"boundary_tau": ()} if flags.learnable_boundary else {})}
+
+
 def init_params(config: EncoderConfig, flags: ModelFlags, seed: int) -> dict[str, np.ndarray]:
     """All trainable arrays; identical across flag variants for a given seed.
 
-    The learnable boundary scalar is appended last so enabling it never
-    shifts the random draws of the shared parameters.
+    Past the encoders, weights are Gaussian with scale 1/sqrt(fan_in). The
+    learnable boundary scalar, zero, is last so enabling it never shifts the
+    random draws of the shared parameters.
     """
     rng = np.random.default_rng(seed)
     params = init_encoder_params(config, rng)
-    c, p, k = config.feature_dim, config.shared_dim, config.region_count
-    params["mining_region_proj"] = rng.normal(0.0, c ** -0.5, (config.projection_dim, c))
-    params["mining_word_proj"] = rng.normal(0.0, c ** -0.5, (config.projection_dim, c))
-    params["id_global_w"] = rng.normal(0.0, p ** -0.5, (config.identity_count, p))
-    params["id_local_w"] = rng.normal(0.0, (k * p) ** -0.5, (config.identity_count, k * p))
-    if flags.learnable_boundary:
-        params["boundary_tau"] = np.zeros(())
+    for name, shape in param_shapes(config, flags).items():
+        if name not in params:
+            params[name] = rng.normal(0.0, shape[-1] ** -0.5, shape) if shape else np.zeros(())
     return params
 
 
@@ -122,8 +130,7 @@ class Model:
                           mining: MiningParams) -> Tensor:
         """(n_images, n_texts, pad_len) max-over-regions word scores; padded
         positions hold junk and must be masked by ``texts.mask``."""
-        return sim.region_max(sim.word_region_tensor(images.region_feats, texts.word_feats,
-                                                     mining))
+        return sim.word_scores(images.region_feats, texts.word_feats, mining)
 
     def similarity_components(self, images: ImageEncodings, texts: TextEncodings,
                               bound: Mapping[str, Tensor]
@@ -227,22 +234,20 @@ class Model:
 
     def score_components(self, image_samples: list[Sample], text_samples: list[Sample]
                          ) -> dict[str, np.ndarray]:
-        """Similarity matrices plus word evidence, as read-only arrays (no tape).
+        """Similarity matrices, as read-only (n_img, n_txt) arrays (no tape).
 
-        Keys: enabled components among global/local/negative/local_negative,
-        plus ``word_scores`` (n_img, n_txt, pad) and ``text_mask`` when the
-        mining branch is on.
+        Keys: the enabled components among global/local/negative/local_negative.
 
         Both sides are encoded once; images are then scored in blocks whose
-        (rows*K) x (n_txt*pad) word-region slab fits ``SCORE_BLOCK_BYTES``
-        (at least one image per block), each block through
-        ``similarity_components`` and into the preallocated outputs.
+        (rows, n_txt*pad) word scores fit ``SCORE_BLOCK_BYTES`` (at least one
+        image per block), each block through ``similarity_components`` and
+        into the preallocated outputs.
         """
         bound = self.bind(None)
         images, texts = self._encode(image_samples, text_samples, bound)
         n = len(image_samples)
         n_txt, pad = texts.word_feats.shape[:2]
-        rows = max(1, SCORE_BLOCK_BYTES // (self.config.region_count * n_txt * pad * 8))
+        rows = max(1, SCORE_BLOCK_BYTES // (n_txt * pad * 8))
         out: dict[str, np.ndarray] = {}
         for lo in range(0, n, rows):
             hi = min(lo + rows, n)
@@ -250,18 +255,13 @@ class Model:
             block = images if hi - lo == n else ImageEncodings(
                 nm.take_rows(images.region_feats, take), nm.take_rows(images.local_embed, take),
                 nm.take_rows(images.global_embed, take))
-            comps, word_scores = self.similarity_components(block, texts, bound)
-            if word_scores is not None:
-                comps["word_scores"] = word_scores
+            comps = self.similarity_components(block, texts, bound)[0]
             for name, t in comps.items():
                 if name not in out:
-                    out[name] = np.empty((n,) + t.shape[1:])
+                    out[name] = np.empty((n, n_txt))
                 out[name][lo:hi] = t.data
         for arr in out.values():
             arr.setflags(write=False)
-        if "word_scores" in out:
-            texts.mask.setflags(write=False)
-            out["text_mask"] = texts.mask
         return out
 
     def score_matrix(self, image_samples: list[Sample], text_samples: list[Sample],

@@ -565,46 +565,76 @@ def l2_normalize(a, axis: int = -1, eps: float = NORM_EPS) -> Tensor:
     return tape._record(out, (a,), bw)
 
 
-def cosine(a, b) -> Tensor:
-    """Cosine clamped to [-1, 1]: of two vectors (a scalar), or of every row pair
-    of (n, d) and (m, d) stacks (an (n, m) matrix).
-
-    Computed as dot / |a_i| / |b_j| (normalized rows can miss 1.0 for
-    identical rows), with norms floored at NORM_EPS so zero rows yield 0.
-    At |cos| = 1 the clamp takes subgradient 0, the true gradient for
-    parallel vectors. The forward pass scales and clips its one buffer in place.
-    """
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != b.ndim or a.ndim not in (1, 2) or not 1 <= a.shape[-1] == b.shape[-1]:
-        raise ShapeError(f"cosine requires equal-width vectors or row stacks, "
-                         f"got {a.shape} and {b.shape}")
-    a2, b2 = a.data.reshape((-1, a.shape[-1])), b.data.reshape((-1, b.shape[-1]))
+def _cosine_forward(a2, b2, groups: int = 1):
+    """Clamped cosines of the row pairs of (n * groups, d) ``a2`` and (m, d) ``b2``,
+    maxed over each run of ``groups`` rows of ``a2``: ((n, m), norms). Computed as
+    dot / |a_i| / |b_j| (normalized rows can miss 1.0 for identical rows), norms
+    floored at NORM_EPS so zero rows yield 0. Dividing by |b_j| > 0 and clipping
+    are monotone under rounding, so they commute with the max and run on the reduced
+    array: for n > 1 the products are taken one group member at a time."""
     na = np.sqrt(np.sum(a2 * a2, axis=1))
     nb = np.sqrt(np.sum(b2 * b2, axis=1))
     da, db = np.maximum(na, NORM_EPS), np.maximum(nb, NORM_EPS)
-    out2 = a2 @ b2.T
-    out2 /= da[:, None]
-    out2 /= db
-    np.clip(out2, -1.0, 1.0, out=out2)
-    out = out2 if a.ndim == 2 else out2.reshape(())
+    a3, da2 = a2.reshape((-1, groups, a2.shape[1])), da.reshape((-1, groups))
+    if len(a3) == 1:  # a lone row per product would go through gemv, which rounds unlike gemm
+        out = np.max((a2 @ b2.T) / da[:, None], axis=0, keepdims=True)
+    else:
+        out = a3[:, 0] @ b2.T
+        out /= da2[:, :1]
+        t = np.empty_like(out) if groups > 1 else None
+        for k in range(1, groups):
+            np.matmul(a3[:, k], b2.T, out=t)
+            t /= da2[:, k:k + 1]
+            np.maximum(out, t, out=out)
+    out /= db
+    np.clip(out, -1.0, 1.0, out=out)
+    return out, (na, da, nb, db)
+
+
+def cosine(a, b) -> Tensor:
+    """Cosine clamped to [-1, 1]: of two vectors (a scalar), or of every row pair
+    of (n, d) and (m, d) stacks (an (n, m) matrix); ``max_cosine`` over groups of one.
+    """
+    return max_cosine(a, b, 1)
+
+
+def max_cosine(a, b, groups: int) -> Tensor:
+    """(n, m) max over each run of ``groups`` consecutive rows of (n * groups, d) ``a``
+    of their clamped cosines with the rows of (m, d) ``b`` (MaxSim), as in
+    ``_cosine_forward``; untaped values can differ in the last bit where BLAS rounds
+    an (n, d) product unlike the (n * groups, d) one. A tape keeps the cosine slab;
+    backward routes each max to the lowest-index maximizer, passes nothing through a
+    clamped |cos| = 1 (the true gradient for parallel vectors) and drops a floored
+    norm's own term."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    if (a.ndim != b.ndim or a.ndim not in (1, 2) or not 1 <= a.shape[-1] == b.shape[-1]
+            or groups < 1 or a.size // a.shape[-1] % groups):
+        raise ShapeError(f"cannot take cosines of {a.shape} rows, in groups of {groups}, "
+                         f"with {b.shape} rows")
+    a2, b2 = a.data.reshape((-1, a.shape[-1])), b.data.reshape((-1, b.shape[-1]))
+    shape = (len(a2) // groups, len(b2)) if a.ndim == 2 else ()
     tape = _tape_of(a, b)
     if tape is None:
-        return Tensor._raw(out)
-    # the second gradient term exists only where the norm is not floored
+        return Tensor._raw(_cosine_forward(a2, b2, groups)[0].reshape(shape))
+    cos, (na, da, nb, db) = _cosine_forward(a2, b2)
+    c3 = cos.reshape((-1, groups, cos.shape[1]))
+    idx = np.argmax(c3, axis=1)[:, None]
     ca = np.where(na > NORM_EPS, 1.0 / (da * da), 0.0)
     cb = np.where(nb > NORM_EPS, 1.0 / (db * db), 0.0)
 
     def bw(g):
-        g = np.asarray(g).reshape(out2.shape)
-        if out2.min() <= -1.0 or out2.max() >= 1.0:  # clamped entries pass no gradient
-            g = g * (np.abs(out2) < 1.0)
+        g3 = np.zeros_like(c3)
+        np.put_along_axis(g3, idx, np.reshape(g, (-1, 1, cos.shape[1])), 1)
+        g = g3.reshape(cos.shape)
+        if cos.min() <= -1.0 or cos.max() >= 1.0:  # clamped entries pass no gradient
+            g = g * (np.abs(cos) < 1.0)
         ga = g @ (b2 / db[:, None]) / da[:, None]
         gb = ((a2 / da[:, None]).T @ g).T / db[:, None]
-        ga -= (np.einsum("ij,ij->i", g, out2) * ca)[:, None] * a2
-        gb -= (np.einsum("ij,ij->j", g, out2) * cb)[:, None] * b2
+        ga -= (np.einsum("ij,ij->i", g, cos) * ca)[:, None] * a2
+        gb -= (np.einsum("ij,ij->j", g, cos) * cb)[:, None] * b2
         return ga.reshape(a.shape), gb.reshape(b.shape)
 
-    return tape._record(out, (a, b), bw)
+    return tape._record(np.take_along_axis(c3, idx, 1).reshape(shape), (a, b), bw)
 
 
 def strip_heads(x, w, b) -> Tensor:
@@ -772,7 +802,8 @@ __all__ = [
     "maximum", "minimum", "relu", "clamp",
     "sqrt", "exp", "log",
     "take_rows", "stack", "l2_normalize",
-    "cosine", "strip_heads", "cross_entropy", "hardest_negative_hinge", "dot", "mean",
+    "cosine", "max_cosine", "strip_heads", "cross_entropy", "hardest_negative_hinge",
+    "dot", "mean",
     "max_pool_rows", "max_pool_cols", "logsumexp",
     "finite_difference_grad",
 ]

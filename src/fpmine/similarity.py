@@ -85,21 +85,20 @@ def local_scores(img_local: Tensor, txt_local: Tensor) -> Tensor:
                      txt_local.reshape((txt_local.shape[0], -1)))
 
 
-def word_region_tensor(region_feats: Tensor, word_feats: Tensor,
-                       params: MiningParams) -> Tensor:
-    """(n, K, m, L) cosines of projected region (n, K, C) and word (m, L, C) features.
-
-    Padded word positions are scored like any other; callers mask them.
-    """
+def _projected(region_feats: Tensor, word_feats: Tensor, params: MiningParams):
+    """Region (n, K, C) and word (m, L, C) features projected to rows (n*K, M), (m*L, M)."""
     (n, k, c), (m, length) = region_feats.shape, word_feats.shape[:2]
-    pv = nm.matmul(region_feats.reshape((n * k, c)), params.region_proj.T)
-    pe = nm.matmul(word_feats.reshape((m * length, c)), params.word_proj.T)
-    return nm.cosine(pv, pe).reshape((n, k, m, length))
+    return (nm.matmul(region_feats.reshape((n * k, c)), params.region_proj.T),
+            nm.matmul(word_feats.reshape((m * length, c)), params.word_proj.T))
 
 
-def region_max(scores: Tensor) -> Tensor:
-    """(n, m, L) max over regions of (n, K, m, L) scores; ties route to the first region."""
-    return scores.max(axis=1)
+def word_scores(region_feats: Tensor, word_feats: Tensor, params: MiningParams) -> Tensor:
+    """(n, m, L) max over regions of the cosines of projected region (n, K, C) and word
+    (m, L, C) features, as one ``nm.max_cosine``; ties route to the first region.
+    Padded word positions hold junk that callers mask."""
+    (n, k), (m, length) = region_feats.shape[:2], word_feats.shape[:2]
+    return nm.max_cosine(*_projected(region_feats, word_feats, params), k).reshape(
+        (n, m, length))
 
 
 def mining_mask(score, boundary=0.0) -> Tensor:
@@ -181,8 +180,8 @@ def word_region_scores(region_feats, word_feats, params: MiningParams) -> Tensor
     v, e = _as_tensor(region_feats), _as_tensor(word_feats)
     if v.ndim != 2 or e.ndim != 2:
         raise ShapeError("word_region_scores expects 2-D feature matrices")
-    scores = word_region_tensor(v.reshape((1,) + v.shape), e.T.reshape((1,) + e.T.shape), params)
-    return scores.reshape((v.shape[0], e.shape[1]))
+    return nm.cosine(*_projected(v.reshape((1,) + v.shape), e.T.reshape((1,) + e.T.shape),
+                                 params))
 
 
 def word_max_scores(scores) -> Tensor:
@@ -190,7 +189,7 @@ def word_max_scores(scores) -> Tensor:
     s = _as_tensor(scores)
     if s.ndim != 2 or s.size == 0:
         raise ShapeError(f"word_max_scores requires a nonempty (K, length) matrix, got {s.shape}")
-    return region_max(s.reshape((1, s.shape[0], 1, s.shape[1]))).reshape((s.shape[1],))
+    return s.max(axis=0)
 
 
 def _pair_evidence(word_scores: Tensor, local_score, use_mask: bool, boundary):
@@ -227,15 +226,16 @@ def pair_breakdown(image: EmbeddingBundle, text: EmbeddingBundle, params: Mining
     """Compute every similarity signal for one encoded pair."""
     s_global = global_similarity(image.global_embed, text.global_embed)
     s_local = local_similarity(image.local_embed, text.local_embed)
-    scores = word_region_scores(image.raw_parts, text.raw_parts, params)
-    per_word = word_max_scores(scores)
+    v, e = _as_tensor(image.raw_parts), _as_tensor(text.raw_parts)
+    per_word = word_scores(v.reshape((1,) + v.shape), e.T.reshape((1,) + e.T.shape),
+                           params).reshape((e.shape[1],))
     evidence, neg, local_neg = _pair_evidence(per_word, s_local, use_mask, boundary)
     return SimilarityBreakdown(
         global_score=s_global.item(),
         local_score=s_local.item(),
         word_scores=per_word.data,
         masked_word_scores=evidence.data,
-        argmax_regions=np.argmax(scores.data, axis=0),
+        argmax_regions=np.argmax(word_region_scores(v, e, params).data, axis=0),
         negative_score=neg.item(),
         local_negative_score=local_neg.item(),
         overall_score=overall_similarity(s_global, s_local, local_neg).item(),

@@ -20,7 +20,7 @@ from .dataset import SyntheticDataset, identity_split
 from .encoders import EncoderConfig
 from .errors import ConfigError, DataError, NumericalError
 from .losses import LossWeights
-from .model import Model, ModelFlags
+from .model import Model, ModelFlags, param_shapes
 from .numerics import GradTape, backward
 from .sampling import balanced_batches
 
@@ -319,11 +319,18 @@ def load_checkpoint(path) -> Checkpoint:
             if prefix not in groups or not name:
                 raise DataError(f"unknown tensor entry {full!r} in checkpoint")
             groups[prefix][name] = arr
+        encoder_config = EncoderConfig(**header["encoder_config"])
+        train_config = TrainConfig.from_json(header["train_config"])
+        expected = param_shapes(encoder_config, train_config.flags).items()
+        for prefix, group in groups.items():
+            if diff := {name: arr.shape for name, arr in group.items()}.items() ^ expected:
+                raise DataError(f"checkpoint tensor {prefix}/{min(diff)[0]} does not match "
+                                f"the model its header describes: {path}")
         # JSON round-trips the PCG64 state ints losslessly (arbitrary precision)
         return Checkpoint(
             version=version,
-            encoder_config=EncoderConfig(**header["encoder_config"]),
-            train_config=TrainConfig.from_json(header["train_config"]),
+            encoder_config=encoder_config,
+            train_config=train_config,
             params=groups["param"],
             adam_m=groups["adam_m"],
             adam_v=groups["adam_v"],

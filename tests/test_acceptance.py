@@ -202,6 +202,26 @@ def make_strip_heads_path(rng):
     return ("strip heads", heads_inputs, heads_fn)
 
 
+def make_max_cosine_path(rng):
+    """Max-over-regions cosine, away from the clamp and from ties for each max."""
+    n, k, m, d, margin = 2, 3, 3, 4, 1e-3
+
+    def max_cosine_inputs():
+        while True:
+            a, b = rng.normal(size=(n * k, d)), rng.normal(size=(m, d))
+            cos = nm.cosine(Tensor(a), Tensor(b)).data
+            top = np.sort(cos.reshape(n, k, m), axis=1)
+            if np.abs(cos).max() < 0.99 and (top[:, -1] - top[:, -2]).min() > margin:
+                return [a, b]
+
+    mix = np.linspace(0.5, 1.5, n * m).reshape(n, m)
+
+    def max_cosine_fn(a, b):
+        return (nm.max_cosine(a, b, k) * mix).sum()
+
+    return ("max-over-regions cosine", max_cosine_inputs, max_cosine_fn)
+
+
 def test_criterion_1_gradient_suite(acceptance_record):
     started = time.perf_counter()
     rng = np.random.default_rng(20240501)
@@ -210,6 +230,7 @@ def test_criterion_1_gradient_suite(acceptance_record):
     # own stream: the points drawn for the paths above stay as they were
     paths.append(make_boundary_path(np.random.default_rng(20240502)))
     paths.append(make_strip_heads_path(np.random.default_rng(20240503)))
+    paths.append(make_max_cosine_path(np.random.default_rng(20240504)))
     worst = 0.0
     worst_path = ""
     for name, sampler, fn in paths:

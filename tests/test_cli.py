@@ -205,6 +205,26 @@ class TestTrainEval:
                      "--out", str(tmp_path / "e")])
         assert code == 2
 
+    @pytest.mark.parametrize("corrupt", ["projection_dim", "tensor_name"])
+    def test_checkpoint_unlike_its_header_exit_2(self, tmp_path, config_file, data_dir,
+                                                 corrupt):
+        run = tmp_path / "run"
+        assert main(["train", "--config", config_file, "--epochs", "0",
+                     "--data", str(data_dir / "dataset.bin"), "--out", str(run)]) == 0
+        blob = (run / "checkpoint.bin").read_bytes()
+        if corrupt == "projection_dim":
+            bad_blob = blob.replace(b'"projection_dim": 5', b'"projection_dim": 4')
+        else:
+            at = blob.index(b"param/img_embed_w") + len(b"param/img_embed_")
+            bad_blob = blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1:]
+        assert len(bad_blob) == len(blob) and bad_blob != blob
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(bad_blob)
+        code = main(["eval", "--checkpoint", str(bad),
+                     "--data", str(data_dir / "dataset.bin"),
+                     "--out", str(tmp_path / "e")])
+        assert code == 2
+
     def test_zero_region_count_dataset_exit_2(self, tmp_path, config_file, data_dir):
         blob = bytearray((data_dir / "dataset.bin").read_bytes())
         blob[16:20] = struct.pack("<I", 0)  # third header count: region_count

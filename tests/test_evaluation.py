@@ -47,6 +47,25 @@ class TestRankRows:
             out = rank_rows(scores)
             assert sorted(out.tolist()) == list(range(12))
 
+    def test_int32_equal_to_int64_argsort(self):
+        rng = np.random.default_rng(1)
+        scores = rng.choice([0.0, 0.25, 0.5, 1.0], size=(7, 40))
+        out = rank_rows(scores)
+        assert out.dtype == np.int32
+        want = np.argsort(-scores, axis=-1, kind="stable")
+        assert want.dtype == np.int64
+        assert np.array_equal(out, want)
+
+    def test_result_json_unchanged_by_int32(self):
+        ds = toy_dataset()
+        result = evaluate_retrieval(Model(CFG, seed=0), ds, np.arange(9), "full")
+        assert result.rankings.dtype == np.int32
+        wide = result.to_json()["rankings"]
+        assert wide == result.rankings.astype(np.int64).tolist()
+        assert all(type(i) is int for row in wide for i in row)
+        gallery = rank_gallery(Model(CFG, seed=0), ds.samples[0], ds.samples[:9], "full")
+        assert gallery.dtype == np.int32 and gallery.shape == (9,)
+
 
 class TestRankGallery:
     def test_single_item_gallery(self):
@@ -212,17 +231,22 @@ class TestNegativeEvidenceReport:
     def test_one_word_region_scoring_per_report(self, monkeypatch):
         import fpmine.similarity as similarity
 
+        # once for the per-word maxima, once for the full matrix behind argmax_regions
         calls = []
-        kernel = similarity.word_region_tensor
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return kernel(*args, **kwargs)
+        def counted(name):
+            kernel = getattr(similarity, name)
 
-        monkeypatch.setattr(similarity, "word_region_tensor", counted)
+            def call(*args, **kwargs):
+                calls.append(name)
+                return kernel(*args, **kwargs)
+            return call
+
+        for name in ("word_region_scores", "word_scores"):
+            monkeypatch.setattr(similarity, name, counted(name))
         ds = toy_dataset()
         doc = negative_evidence_report(Model(CFG, seed=0), ds.samples[0], ds.samples[4])
-        assert len(calls) == 1
+        assert sorted(calls) == ["word_region_scores", "word_scores"]
         assert doc["masked_word_scores"] == [w["masked"] for w in doc["words"]]
         assert doc["argmax_regions"] == [w["argmax_region"] for w in doc["words"]]
 

@@ -90,16 +90,17 @@ class TestComponentsAgainstPairOps:
                 assert full == pytest.approx(b.overall_score, abs=1e-10)
 
     def test_word_scores_match_pair_path(self):
-        comps = self.model.score_components(self.images, self.texts)
         bound = self.model.bind(None)
         mining = self.model.mining_params(bound)
+        scores = self.model.word_score_tensor(
+            *self.model._encode(self.images, self.texts, bound), mining).data
         for i, img_s in enumerate(self.images):
             img = encode_image(img_s.image_raw, bound, CFG)
             for j, txt_s in enumerate(self.texts):
                 txt = encode_text(txt_s.text_raw, bound, CFG)
                 per_word = word_max_scores(
                     word_region_scores(img.raw_parts, txt.raw_parts, mining))
-                got = comps["word_scores"][i, j, :txt_s.length]
+                got = scores[i, j, :txt_s.length]
                 assert np.allclose(got, per_word.data, atol=1e-10)
 
     def test_fusion_recomputed_independently(self):
@@ -290,8 +291,8 @@ class TestLearnableBoundarySignal:
 class TestWordHingesAgainstNumpyOracle:
     """Batched word hinges and identity term vs numpy written apart from fpmine.
 
-    The oracle starts from the word-score tensor and text mask that
-    ``score_components`` returns for the batch's images and captions, so it
+    The oracle starts from the word-score tensor that ``word_score_tensor``
+    returns for the batch's images and captions, and their text mask, so it
     checks the hinge, reduction and cross-entropy arithmetic, under a
     learnable boundary on both sides of zero.
     """
@@ -303,9 +304,11 @@ class TestWordHingesAgainstNumpyOracle:
         w = model.weights
         img_idx = sorted({i for i, _ in plan.matched} | {i for i, _ in plan.mismatched})
         txt_idx = sorted({t for _, t in plan.matched} | {t for _, t in plan.mismatched})
-        comps = model.score_components([ds.samples[i] for i in img_idx],
-                                       [ds.samples[t] for t in txt_idx])
-        scores, mask = comps["word_scores"], comps["text_mask"]
+        bound = model.bind(None)
+        images, texts = model._encode([ds.samples[i] for i in img_idx],
+                                      [ds.samples[t] for t in txt_idx], bound)
+        scores = model.word_score_tensor(images, texts, model.mining_params(bound)).data
+        mask = texts.mask
 
         def per_pair(pairs, fn):
             vals = []
@@ -368,7 +371,7 @@ class TestTapeSize:
         plan = next(iter(balanced_batches(ds, 6, seed=1)))
         tape = GradTape()
         Model(CFG, seed=5).batch_loss(ds, plan, tape)
-        assert len(tape) <= 102
+        assert len(tape) <= 101
 
     def test_dropped_tape_freed_without_cyclic_gc(self):
         import gc
@@ -390,6 +393,7 @@ class TestTapeSize:
     def test_score_components_are_read_only(self):
         ds = toy_dataset()
         comps = Model(CFG, seed=1).score_components(ds.samples[:3], ds.samples[3:7])
+        assert comps.keys() == {"global", "local", "negative", "local_negative"}
         for name, arr in comps.items():
             assert not arr.flags.writeable, name
 
@@ -399,8 +403,8 @@ class TestBlockedScoring:
 
     @staticmethod
     def row_bytes(texts):
-        # one image's (K) x (n_txt * pad) float64 word-region slab
-        return CFG.region_count * len(texts) * max(s.length for s in texts) * 8
+        # one image's (n_txt * pad) float64 word scores
+        return len(texts) * max(s.length for s in texts) * 8
 
     def setup_method(self):
         self.ds = toy_dataset(identities=5, per_id=3)
@@ -443,25 +447,29 @@ class TestBlockedScoring:
         assert comps["local"][i, j] == pytest.approx(b.local_score, abs=1e-12)
         assert comps["negative"][i, j] == pytest.approx(b.negative_score, abs=1e-12)
         assert comps["local_negative"][i, j] == pytest.approx(b.local_negative_score, abs=1e-12)
-        np.testing.assert_allclose(comps["word_scores"][i, j, :length], b.word_scores,
-                                   rtol=0, atol=1e-12)
+        last = model._encode(self.images[i:], self.texts, bound)
+        np.testing.assert_allclose(
+            model.word_score_tensor(*last, model.mining_params(bound)).data[0, j, :length],
+            b.word_scores, rtol=0, atol=1e-12)
 
     def test_peak_allocation_is_outputs_plus_blocks(self, monkeypatch):
-        # 160 x 160 pairs: the whole (n*K) x (n*pad) slab is 4.9 MB, twice the
-        # outputs; a block is 256 KB. The 4x allowance covers one slab, its
-        # region max, the evidence temporaries, and the encodings.
+        # 160 x 160 pairs: the whole (n, n * pad) word-score array is 1.6 MB, twice
+        # the outputs. A block holds about four arrays the size of its word scores
+        # (the running region max, one region's products, two evidence temporaries).
         import tracemalloc
 
         ds = toy_dataset(identities=10, per_id=16)
-        budget = 1 << 18
-        monkeypatch.setattr(model_module, "SCORE_BLOCK_BYTES", budget)
         model = Model(CFG, seed=1)
-        tracemalloc.start()
-        try:
-            comps = model.score_components(ds.samples, ds.samples)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        small, large = 1 << 15, 1 << 17
+        peaks = {}
+        for budget in (small, large):
+            monkeypatch.setattr(model_module, "SCORE_BLOCK_BYTES", budget)
+            tracemalloc.start()
+            try:
+                comps = model.score_components(ds.samples, ds.samples)
+                peaks[budget] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         outputs = sum(arr.nbytes for arr in comps.values())
-        assert self.row_bytes(ds.samples) * len(ds.samples) > outputs + 4 * budget
-        assert peak <= outputs + 4 * budget
+        assert peaks[small] < outputs + self.row_bytes(ds.samples) * len(ds.samples) / 2
+        assert peaks[large] - peaks[small] <= 4 * (large - small)

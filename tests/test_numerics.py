@@ -260,6 +260,93 @@ def nodes_of(fn, *arrays):
     return len(tape) - len(arrays)
 
 
+def composed_max_cosine(a, b, groups):
+    """cosine, reshape and region max: the composition max_cosine replaced."""
+    return nm.cosine(a, b).reshape((a.shape[0] // groups, groups, b.shape[0])).max(axis=1)
+
+
+class TestMaxCosine:
+    @staticmethod
+    def inputs(integer=False):
+        rng = np.random.default_rng(25)
+        a, b = rng.normal(size=(20, 6)), rng.normal(size=(7, 6))
+        if integer:  # every dot product is exact, whatever order BLAS sums in
+            a, b = np.round(a * 2), np.round(b * 2)
+        a[1], b[4] = 0.0, 0.0                    # zero rows sit on the norm floor
+        a[6], a[13] = 3.0 * b[0], -0.5 * b[2]    # cosines clamped at +1 and -1
+        a[9] = a[8]                              # a tie inside a group of 4 (and of 20)
+        return a, b
+
+    @pytest.mark.parametrize("groups", [1, 4, 20])
+    def test_forward_equals_composition(self, groups):
+        # exact products: dividing by |b_j| and clipping after the max is exact too
+        a, b = self.inputs(integer=True)
+        assert set(nm.cosine(Tensor(a), Tensor(b)).data[[6, 13], [0, 2]]) == {1.0, -1.0}
+        want = composed_max_cosine(Tensor(a), Tensor(b), groups).data
+        untaped = nm.max_cosine(Tensor(a), Tensor(b), groups)
+        taped = nm.max_cosine(GradTape().leaf(a), Tensor(b), groups)
+        assert untaped.tape is None and taped.tape is not None
+        np.testing.assert_array_equal(untaped.data, want)
+        np.testing.assert_array_equal(taped.data, want)
+
+    @pytest.mark.parametrize("groups", [1, 4, 20])
+    def test_forward_on_rounded_products(self, groups):
+        # the taped forward is the composition's; the untaped one takes an (n, d)
+        # product per group member, which BLAS may round unlike the (n * groups, d) one
+        a, b = self.inputs()
+        want = composed_max_cosine(Tensor(a), Tensor(b), groups).data
+        np.testing.assert_array_equal(nm.max_cosine(GradTape().leaf(a), b, groups).data, want)
+        np.testing.assert_allclose(nm.max_cosine(Tensor(a), Tensor(b), groups).data, want,
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("groups", [1, 4, 20])
+    def test_gradient_equals_composition(self, groups):
+        a, b = self.inputs()
+        mix = np.random.default_rng(26).normal(size=(20 // groups, 7))
+        assert_same_op(lambda x, y: (nm.max_cosine(x, y, groups) * mix).sum(),
+                       lambda x, y: (composed_max_cosine(x, y, groups) * mix).sum(), a, b)
+
+    def test_gradient(self):
+        rng = np.random.default_rng(27)
+        a, b = rng.normal(size=(6, 4)), rng.normal(size=(3, 4))
+        mix = rng.normal(size=(2, 3))
+        assert_grad_matches(lambda x, y: (nm.max_cosine(x, y, 3) * mix).sum(), a, b)
+
+    def test_ties_route_to_lowest_index(self):
+        # rows 0 and 1 tie, rows 2 and 3 tie (parallel, different norms)
+        a = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
+        ga = grad_of(lambda x, y: nm.max_cosine(x, y, 2).sum(), a, np.array([[1.0, 1.0]]))[0]
+        assert ga[0].any() and ga[2].any()
+        assert not ga[1].any() and not ga[3].any()
+
+    def test_shape_errors(self):
+        for a, b, groups in ((np.ones((6, 3)), np.ones((2, 3)), 4),
+                             (np.ones((6, 3)), np.ones((2, 3)), 0),
+                             (np.ones((6, 3)), np.ones((2, 4)), 3),
+                             (np.ones(6), np.ones((2, 6)), 1)):
+            with pytest.raises(ShapeError):
+                nm.max_cosine(Tensor(a), Tensor(b), groups)
+
+    def test_untaped_forward_never_builds_the_slab(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(28)
+        a, b = Tensor(rng.normal(size=(600 * 6, 8))), Tensor(rng.normal(size=(400, 8)))
+        tracemalloc.start()
+        try:
+            out = nm.max_cosine(a, b, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output and one region's products; the slab would be 6 outputs
+        assert peak < 2.25 * out.data.nbytes
+
+    def test_one_tape_node(self):
+        rng = np.random.default_rng(29)
+        assert nodes_of(lambda x, y: nm.max_cosine(x, y, 2), rng.normal(size=(4, 3)),
+                        rng.normal(size=(5, 3))) == 1
+
+
 class TestStripHeads:
     @pytest.mark.parametrize("shared", [False, True])
     def test_matches_per_strip_heads(self, shared):

@@ -2,7 +2,8 @@
 
 The small gallery (300 samples) spans several scoring blocks, so the
 benchmark's independent reference scorer and its ranking and recall checks
-cover blocked evaluation end to end. The small training run checks tape
+cover blocked evaluation end to end; the small caption lookup covers
+``rank_gallery`` the same way. The small training run checks tape
 gradients against central differences through the full model, so every
 tape primitive of a training step is covered end to end.
 """
@@ -32,3 +33,8 @@ def test_small_gallery_eval_is_correct():
 
 def test_small_train_is_correct():
     run_small("train")
+
+
+def test_small_caption_lookup_is_correct():
+    # rank_gallery's 1-D int32 rankings against the reference scorer
+    run_small("caption-lookup")

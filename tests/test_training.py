@@ -285,6 +285,40 @@ class TestCheckpointHeaderFuzz:
                        + blob[header_end(blob):])
 
 
+def flip_name_bit(blob: bytes, name: bytes) -> bytes:
+    """The checkpoint with one bit of a tensor name flipped (its last letter)."""
+    at = blob.index(name, header_end(blob)) + len(name) - 1
+    return blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1:]
+
+
+def edit_header(blob: bytes, old: bytes, new: bytes) -> bytes:
+    header = blob[20:header_end(blob)]
+    assert old in header
+    header = header.replace(old, new)
+    return blob[:12] + struct.pack("<Q", len(header)) + header + blob[header_end(blob):]
+
+
+class TestCheckpointTensorTable:
+    """The tensor table must hold exactly the parameters its header implies."""
+
+    def test_intact_checkpoint_loads(self):
+        assert isinstance(load_bytes(checkpoint_blob()), Checkpoint)
+
+    @pytest.mark.parametrize("old,new", [(b'"projection_dim": 5', b'"projection_dim": 4'),
+                                         (b'"identity_count": ', b'"identity_count": 1'),
+                                         (b'"learnable_boundary": false',
+                                          b'"learnable_boundary": true')])
+    def test_header_edit_rejected(self, old, new):
+        with pytest.raises(DataError):
+            load_bytes(edit_header(checkpoint_blob(), old, new))
+
+    @pytest.mark.parametrize("name", [b"param/img_embed_w", b"adam_m/mining_word_proj",
+                                      b"adam_v/id_local_w"])
+    def test_flipped_tensor_name_rejected(self, name):
+        with pytest.raises(DataError):
+            load_bytes(flip_name_bit(checkpoint_blob(), name))
+
+
 class TestBranchIsolation:
     def test_disabled_mining_keeps_mining_params_frozen(self):
         ds = toy_dataset()
