@@ -571,21 +571,18 @@ def _cosine_forward(a2, b2, groups: int = 1):
     dot / |a_i| / |b_j| (normalized rows can miss 1.0 for identical rows), norms
     floored at NORM_EPS so zero rows yield 0. Dividing by |b_j| > 0 and clipping
     are monotone under rounding, so they commute with the max and run on the reduced
-    array: for n > 1 the products are taken one group member at a time."""
+    array: the products are taken one group member at a time."""
     na = np.sqrt(np.sum(a2 * a2, axis=1))
     nb = np.sqrt(np.sum(b2 * b2, axis=1))
     da, db = np.maximum(na, NORM_EPS), np.maximum(nb, NORM_EPS)
     a3, da2 = a2.reshape((-1, groups, a2.shape[1])), da.reshape((-1, groups))
-    if len(a3) == 1:  # a lone row per product would go through gemv, which rounds unlike gemm
-        out = np.max((a2 @ b2.T) / da[:, None], axis=0, keepdims=True)
-    else:
-        out = a3[:, 0] @ b2.T
-        out /= da2[:, :1]
-        t = np.empty_like(out) if groups > 1 else None
-        for k in range(1, groups):
-            np.matmul(a3[:, k], b2.T, out=t)
-            t /= da2[:, k:k + 1]
-            np.maximum(out, t, out=out)
+    out = a3[:, 0] @ b2.T
+    out /= da2[:, :1]
+    t = np.empty_like(out) if groups > 1 else None
+    for k in range(1, groups):
+        np.matmul(a3[:, k], b2.T, out=t)
+        t /= da2[:, k:k + 1]
+        np.maximum(out, t, out=out)
     out /= db
     np.clip(out, -1.0, 1.0, out=out)
     return out, (na, da, nb, db)

@@ -226,16 +226,15 @@ def pair_breakdown(image: EmbeddingBundle, text: EmbeddingBundle, params: Mining
     """Compute every similarity signal for one encoded pair."""
     s_global = global_similarity(image.global_embed, text.global_embed)
     s_local = local_similarity(image.local_embed, text.local_embed)
-    v, e = _as_tensor(image.raw_parts), _as_tensor(text.raw_parts)
-    per_word = word_scores(v.reshape((1,) + v.shape), e.T.reshape((1,) + e.T.shape),
-                           params).reshape((e.shape[1],))
+    scores = word_region_scores(image.raw_parts, text.raw_parts, params)
+    per_word = word_max_scores(scores)
     evidence, neg, local_neg = _pair_evidence(per_word, s_local, use_mask, boundary)
     return SimilarityBreakdown(
         global_score=s_global.item(),
         local_score=s_local.item(),
         word_scores=per_word.data,
         masked_word_scores=evidence.data,
-        argmax_regions=np.argmax(word_region_scores(v, e, params).data, axis=0),
+        argmax_regions=np.argmax(scores.data, axis=0),
         negative_score=neg.item(),
         local_negative_score=local_neg.item(),
         overall_score=overall_similarity(s_global, s_local, local_neg).item(),
