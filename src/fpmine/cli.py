@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,17 +44,10 @@ class _Parser(argparse.ArgumentParser):
 
 # ------------------------------------------------------------- config loading
 
-ENCODER_KEYS = (
-    "feature_dim", "shared_dim", "projection_dim", "region_count", "max_words",
-    "identity_count", "image_raw_dim", "text_raw_dim")
-TRAIN_KEYS = ("learning_rate", "epochs", "batch_size", "seed", "beta1", "beta2",
-              "adam_eps", "balanced_sampling", "val_fraction", "val_every",
-              "grad_clip_norm", "lr_decay_every", "lr_decay_factor")
-FLAG_KEYS = ("use_global", "use_local", "use_mining", "use_mining_mask",
-             "use_local_neg_ranking", "learnable_boundary", "word_loss_reduction")
-WEIGHT_KEYS = ("matched_slope", "matched_bias", "mismatched_slope", "mismatched_bias",
-               "identity_local_weight", "ranking_margin", "ranking_local_weight",
-               "ranking_localneg_weight", "w_word", "w_identity", "w_ranking")
+ENCODER_KEYS = tuple(f.name for f in fields(EncoderConfig))
+TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name not in ("flags", "weights"))
+FLAG_KEYS = tuple(f.name for f in fields(ModelFlags))
+WEIGHT_KEYS = tuple(f.name for f in fields(LossWeights))
 GEN_KEYS = ("identities", "samples_per_identity", "attribute_count", "noise",
             "text_noise", "hard_negative_fraction", "flip_count", "extra_token_max",
             "detail_count", "detail_strength", "min_hamming", "extra_token_pool", "strong_token_keep")
@@ -218,6 +211,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.report_pairs < 0:
+        raise ConfigError(f"--report-pairs must be >= 0, got {args.report_pairs}")
     run_dir = Path(args.out)
     ckpt = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)

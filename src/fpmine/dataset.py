@@ -297,14 +297,17 @@ def save_dataset(dataset: SyntheticDataset, path) -> None:
 
 
 class _Reader:
-    def __init__(self, blob: bytes, path):
+    """Sequential reader over a binary file's bytes; ``kind`` names the file in errors."""
+
+    def __init__(self, blob: bytes, path, kind: str):
         self.blob = blob
         self.off = 0
         self.path = path
+        self.kind = kind
 
     def read(self, size: int) -> bytes:
         if self.off + size > len(self.blob):
-            raise DataError(f"truncated dataset file: {self.path}")
+            raise DataError(f"truncated {self.kind}: {self.path}")
         out = self.blob[self.off:self.off + size]
         self.off += size
         return out
@@ -321,7 +324,7 @@ def load_dataset(path) -> SyntheticDataset:
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
-    r = _Reader(path.read_bytes(), path)
+    r = _Reader(path.read_bytes(), path, "dataset file")
     if r.read(len(_MAGIC)) != _MAGIC:
         raise DataError(f"not a dataset file (bad magic): {path}")
     (n_id, n_samples, k, img_dim, txt_dim, max_words, n_attr,

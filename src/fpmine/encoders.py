@@ -28,11 +28,7 @@ from .numerics import Tensor
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Dimension settings for the encoders and the matching engine.
-
-    Defaults are desk-scale; ``paper_scale`` selects the production-size
-    dimensions (feature 2048, shared 1024, projection 256, 100 words).
-    """
+    """Dimension settings for the encoders and the matching engine (desk-scale defaults)."""
 
     feature_dim: int = 64      # C: width of region/word features
     shared_dim: int = 32       # P: width of the shared embedding space
@@ -50,13 +46,6 @@ class EncoderConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.region_count < 2:
             raise ConfigError(f"region_count must be >= 2, got {self.region_count}")
-
-    @classmethod
-    def paper_scale(cls, identity_count: int = 11003,
-                    image_raw_dim: int = 128, text_raw_dim: int = 128) -> "EncoderConfig":
-        return cls(feature_dim=2048, shared_dim=1024, projection_dim=256,
-                   region_count=6, max_words=100, identity_count=identity_count,
-                   image_raw_dim=image_raw_dim, text_raw_dim=text_raw_dim)
 
     def with_identity_count(self, identity_count: int) -> "EncoderConfig":
         return replace(self, identity_count=identity_count)
@@ -219,28 +208,20 @@ def encode_image(raw, params: Mapping[str, Tensor | np.ndarray],
     )
 
 
-def encode_text(raw, params: Mapping[str, Tensor | np.ndarray], config: EncoderConfig,
-                length: int | None = None) -> EmbeddingBundle:
-    """Encode one raw token sequence.
-
-    ``raw`` may be exactly the valid tokens (length rows) or a padded array
-    with ``length`` giving the valid prefix; both produce identical bundles.
-    """
+def encode_text(raw, params: Mapping[str, Tensor | np.ndarray],
+                config: EncoderConfig) -> EmbeddingBundle:
+    """Encode one raw token sequence (length, text_raw_dim), every row a token."""
     arr = raw.data if isinstance(raw, Tensor) else np.asarray(raw, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != config.text_raw_dim:
         raise ShapeError(f"expected text raw (L, {config.text_raw_dim}), got {arr.shape}")
-    valid = arr.shape[0] if length is None else int(length)
-    if valid < 1 or valid > config.max_words:
-        raise InputError(f"text length must be in [1, {config.max_words}], got {valid}")
-    if valid > arr.shape[0]:
-        raise InputError(f"length {valid} exceeds the {arr.shape[0]} provided rows")
+    length = arr.shape[0]
+    if length < 1 or length > config.max_words:
+        raise InputError(f"text length must be in [1, {config.max_words}], got {length}")
     batch = raw.reshape((1,) + arr.shape) if isinstance(raw, Tensor) else Tensor(arr[None])
-    enc = encode_texts_batch(batch, np.array([valid]), params, config)
-    words = enc.word_feats.reshape((arr.shape[0], config.feature_dim))
-    words = nm.take_rows(words, np.arange(valid))
+    enc = encode_texts_batch(batch, np.array([length]), params, config)
     return EmbeddingBundle(
         global_embed=enc.global_embed.reshape((config.shared_dim,)),
         local_embed=enc.local_embed.reshape((config.region_count, config.shared_dim)),
-        raw_parts=words.T,
-        valid_len=valid,
+        raw_parts=enc.word_feats.reshape((length, config.feature_dim)).T,
+        valid_len=length,
     )

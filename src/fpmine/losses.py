@@ -91,18 +91,12 @@ def _pair_rows(word_scores: Tensor, text_mask, pairs_img, pairs_txt):
     return rows, np.asarray(text_mask, dtype=bool)[pairs_txt]
 
 
-def _reduce_pairs(per_pair: Tensor, reduction: str) -> Tensor:
-    return nm.mean(per_pair) if reduction == "mean" else per_pair.sum()
-
-
 def batch_matched_word_loss(word_scores, text_mask, pairs_img, pairs_txt,
-                            weights: LossWeights, boundary=0.0,
-                            reduction: str = "mean") -> Tensor:
-    """Per pair, the mean of max(-slope*(s_i - boundary) + bias, 0) over its words.
+                            weights: LossWeights, boundary=0.0) -> Tensor:
+    """Mean over pairs of the mean of max(-slope*(s_i - boundary) + bias, 0) over words.
 
     ``word_scores`` is (n_img, n_txt, L) and ``text_mask`` (n_txt, L); pair
-    p is cell (pairs_img[p], pairs_txt[p]). ``reduction`` ("mean" or "sum")
-    aggregates over pairs.
+    p is cell (pairs_img[p], pairs_txt[p]).
     """
     rows, valid = _pair_rows(word_scores, text_mask, pairs_img, pairs_txt)
     if isinstance(boundary, Tensor) or boundary != 0.0:
@@ -110,7 +104,7 @@ def batch_matched_word_loss(word_scores, text_mask, pairs_img, pairs_txt,
     hinge = nm.relu(nm.add(nm.mul(rows, -weights.matched_slope), weights.matched_bias))
     per_pair = nm.mul(nm.mul(hinge, valid.astype(np.float64)).sum(axis=1),
                       1.0 / valid.sum(axis=1))
-    return _reduce_pairs(per_pair, reduction)
+    return nm.mean(per_pair)
 
 
 def evidence_cut(boundary):
@@ -126,9 +120,8 @@ def evidence_cut(boundary):
 
 
 def batch_mismatched_word_loss(word_scores, text_mask, pairs_img, pairs_txt,
-                               weights: LossWeights, boundary=0.0,
-                               reduction: str = "mean") -> Tensor:
-    """Per pair, max(slope*(min_i s_i - min(boundary, 0)) + bias, 0) over its words.
+                               weights: LossWeights, boundary=0.0) -> Tensor:
+    """Mean over pairs of max(slope*(min_i s_i - min(boundary, 0)) + bias, 0).
 
     Arguments as in ``batch_matched_word_loss``; no pairs cost 0.
     """
@@ -139,7 +132,7 @@ def batch_mismatched_word_loss(word_scores, text_mask, pairs_img, pairs_txt,
     if isinstance(boundary, Tensor) or boundary != 0.0:
         s_min = nm.sub(s_min, evidence_cut(boundary))
     per_pair = nm.relu(nm.add(nm.mul(s_min, weights.mismatched_slope), weights.mismatched_bias))
-    return _reduce_pairs(per_pair, reduction)
+    return nm.mean(per_pair)
 
 
 def mean_identity_loss(embeddings, labels, classifier) -> Tensor:

@@ -47,16 +47,12 @@ class ModelFlags:
     use_mining_mask: bool = True
     use_local_neg_ranking: bool = True
     learnable_boundary: bool = False
-    word_loss_reduction: str = "mean"  # aggregation of the word hinges across pairs
 
     def __post_init__(self):
         if self.use_mining and not self.use_local:
             raise ConfigError("the mining branch requires the local branch")
         if not (self.use_global or self.use_local):
             raise ConfigError("at least one similarity branch must be enabled")
-        if self.word_loss_reduction not in ("mean", "sum"):
-            raise ConfigError(f"word_loss_reduction must be 'mean' or 'sum', "
-                              f"got {self.word_loss_reduction!r}")
 
     def fusion(self) -> str:
         """The natural inference fusion for these branches."""
@@ -178,10 +174,9 @@ class Model:
         if flags.use_mining:
             tau = self.boundary(bound)
             matched_t = ls.batch_matched_word_loss(word_scores, texts.mask, pos_img, pos_txt,
-                                                   w, tau, flags.word_loss_reduction)
+                                                   w, tau)
             mismatched_t = ls.batch_mismatched_word_loss(word_scores, texts.mask,
-                                                         *rows(plan.mismatched), w, tau,
-                                                         flags.word_loss_reduction)
+                                                         *rows(plan.mismatched), w, tau)
 
         identity_t = self._identity_term(images, texts, img_labels, txt_labels, bound)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import SyntheticDataset, identity_split
+from .dataset import SyntheticDataset, _Reader, identity_split
 from .encoders import EncoderConfig
 from .errors import ConfigError, DataError, NumericalError
 from .losses import LossWeights
@@ -25,7 +25,7 @@ from .numerics import GradTape, backward
 from .sampling import balanced_batches
 
 _CKPT_MAGIC = b"FPMCKPT1"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -36,27 +36,23 @@ class TrainConfig:
     epochs: int = 45
     batch_size: int = 64
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     flags: ModelFlags = field(default_factory=ModelFlags)
     weights: LossWeights = field(default_factory=LossWeights)
     balanced_sampling: bool = True
     val_fraction: float = 0.1
     val_every: int = 0              # epochs between validation passes; 0 = final only
-    grad_clip_norm: float | None = None
-    lr_decay_every: int | None = None  # optional step decay; None keeps the rate constant
-    lr_decay_factor: float = 0.1
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 2 or self.batch_size % 2 != 0:
             raise ConfigError(f"batch_size must be even and >= 2, got {self.batch_size}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError("val_fraction must be in [0, 1)")
+        if self.val_every < 0:
+            raise ConfigError(f"val_every must be >= 0, got {self.val_every}")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -88,15 +84,18 @@ class AdamState:
                    {k: np.zeros_like(v) for k, v in params.items()}, 0)
 
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState, *, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> dict[str, np.ndarray]:
+              state: AdamState, *, lr: float) -> dict[str, np.ndarray]:
     """One bias-corrected Adam update; returns new parameter arrays.
 
     Per parameter: m <- beta1*m + (1-beta1)*g, v <- beta2*v + (1-beta2)*g^2,
     then p <- p - lr * m_hat / (sqrt(v_hat) + eps) with the bias-corrected
     m_hat = m / (1 - beta1^t) and v_hat = v / (1 - beta2^t), where t is the
-    shared step counter after incrementing.
+    shared step counter after incrementing. The constants are Adam's
+    published defaults: beta1 = 0.9, beta2 = 0.999, eps = 1e-8.
 
     A zero gradient leaves the parameter unchanged only while both moments
     are still zero (a fresh state). Once earlier steps have filled them, a
@@ -110,11 +109,11 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     out: dict[str, np.ndarray] = {}
     for name, p in params.items():
         g = grads[name]
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * (g * g)
-        m_hat = state.m[name] / (1.0 - beta1 ** t)
-        v_hat = state.v[name] / (1.0 - beta2 ** t)
-        out[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+        state.m[name] = _BETA1 * state.m[name] + (1.0 - _BETA1) * g
+        state.v[name] = _BETA2 * state.v[name] + (1.0 - _BETA2) * (g * g)
+        m_hat = state.m[name] / (1.0 - _BETA1 ** t)
+        v_hat = state.v[name] / (1.0 - _BETA2 ** t)
+        out[name] = p - lr * m_hat / (np.sqrt(v_hat) + _EPS)
     return out
 
 
@@ -139,20 +138,6 @@ class TrainResult:
     checkpoint: Checkpoint
     log: list[dict]
     model: Model
-
-
-def _current_lr(config: TrainConfig, epoch: int) -> float:
-    if config.lr_decay_every is None or config.lr_decay_every < 1:
-        return config.learning_rate
-    return config.learning_rate * (config.lr_decay_factor ** (epoch // config.lr_decay_every))
-
-
-def _clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if total <= max_norm or total == 0.0:
-        return grads
-    scale = max_norm / total
-    return {k: g * scale for k, g in grads.items()}
 
 
 def train(dataset: SyntheticDataset, config: TrainConfig, *,
@@ -190,7 +175,6 @@ def train(dataset: SyntheticDataset, config: TrainConfig, *,
     log: list[dict] = []
     for epoch in range(first_epoch, config.epochs):
         epoch_seed = int(master.integers(2 ** 62))
-        lr = _current_lr(config, epoch)
         for plan in balanced_batches(dataset, config.batch_size, epoch_seed,
                                      include=train_idx, balanced=config.balanced_sampling):
             tape = GradTape()
@@ -201,14 +185,11 @@ def train(dataset: SyntheticDataset, config: TrainConfig, *,
             grad_tensors = backward(total, tape)
             grads = {name: np.asarray(grad_tensors[leaf].data)
                      for name, leaf in bound.items()}
-            if config.grad_clip_norm is not None:
-                grads = _clip_gradients(grads, config.grad_clip_norm)
-            model.params = adam_step(model.params, grads, state, lr=lr,
-                                     beta1=config.beta1, beta2=config.beta2,
-                                     eps=config.adam_eps)
+            model.params = adam_step(model.params, grads, state, lr=config.learning_rate)
             step += 1
             log.append({"type": "step", "step": step, "epoch": epoch, **report.to_json()})
-        epoch_record = {"type": "epoch", "epoch": epoch, "step": step, "lr": lr}
+        epoch_record = {"type": "epoch", "epoch": epoch, "step": step,
+                        "lr": config.learning_rate}
         if config.flags.learnable_boundary:
             epoch_record["boundary_tau"] = float(model.params["boundary_tau"])
         log.append(epoch_record)
@@ -282,35 +263,23 @@ def load_checkpoint(path) -> Checkpoint:
     path = Path(path)
     if not path.exists():
         raise DataError(f"checkpoint not found: {path}")
-    blob = path.read_bytes()
-    off = 0
-
-    def read(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(blob):
-            raise DataError(f"truncated checkpoint: {path}")
-        out = blob[off:off + n]
-        off += n
-        return out
-
-    if read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
+    r = _Reader(path.read_bytes(), path, "checkpoint")
+    if r.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
         raise DataError(f"not a checkpoint file (bad magic): {path}")
-    (version,) = struct.unpack("<I", read(4))
+    (version,) = r.unpack("<I")
     if version != _CKPT_VERSION:
         raise DataError(f"unsupported checkpoint version {version}")
-    (hlen,) = struct.unpack("<Q", read(8))
+    (hlen,) = r.unpack("<Q")
     try:
-        header = json.loads(read(hlen).decode("utf-8"))
-        (count,) = struct.unpack("<I", read(4))
+        header = json.loads(r.read(hlen).decode("utf-8"))
+        (count,) = r.unpack("<I")
         table: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", read(2))
-            name = read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", read(1))
-            shape = tuple(struct.unpack("<I", read(4))[0] for _ in range(ndim))
-            table[name] = np.frombuffer(read(math.prod(shape) * 8),
-                                        dtype="<f8").reshape(shape).astype(np.float64)
-        if off != len(blob):
+            (nlen,) = r.unpack("<H")
+            name = r.read(nlen).decode("utf-8")
+            (ndim,) = r.unpack("<B")
+            table[name] = r.array("<f8", r.unpack(f"<{ndim}I"))
+        if r.off != len(r.blob):
             raise DataError(f"trailing bytes in checkpoint: {path}")
 
         groups: dict[str, dict[str, np.ndarray]] = {"param": {}, "adam_m": {}, "adam_v": {}}

@@ -1,14 +1,19 @@
 """End-to-end command-line workflows, exit codes, manifests."""
 
 import json
+import re
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fpmine.cli import main, parse_config_file
-from fpmine.training import load_checkpoint
+from fpmine.cli import (ENCODER_KEYS, FLAG_KEYS, GEN_KEYS, TRAIN_KEYS, WEIGHT_KEYS,
+                        build_configs, main, parse_config_file)
+from fpmine.training import _CKPT_VERSION, load_checkpoint
+
+CONFIG_KEYS = ENCODER_KEYS + TRAIN_KEYS + FLAG_KEYS + WEIGHT_KEYS + GEN_KEYS
 
 CONFIG_TEXT = """
 # tiny profile so CLI runs stay fast
@@ -69,6 +74,46 @@ class TestConfigParsing:
         code = main(["train", "--config", str(p), "--data", "x.bin",
                      "--out", str(tmp_path / "run")])
         assert code == 1
+
+    @pytest.mark.parametrize("key", ["beta1", "beta2", "adam_eps", "grad_clip_norm",
+                                     "lr_decay_every", "lr_decay_factor",
+                                     "word_loss_reduction"])
+    def test_removed_key_is_unknown(self, tmp_path, capsys, key):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"{key} = 1.0\n")
+        code = main(["train", "--config", str(p), "--data", "x.bin",
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert "unknown config keys" in capsys.readouterr().err
+
+    def test_every_key_reaches_built_config(self, tmp_path):
+        flat_defaults = self.flatten(*build_configs({}))
+        assert len(CONFIG_KEYS) == len(set(CONFIG_KEYS))
+        for key in CONFIG_KEYS:
+            value = self.other(flat_defaults.get(key, 1))
+            settings = {key: value, **({"use_mining": False} if key == "use_local" else {})}
+            p = tmp_path / "c.cfg"
+            p.write_text("".join(f"{k} = {json.dumps(v)}\n" for k, v in settings.items()))
+            built = self.flatten(*build_configs(parse_config_file(p)))
+            assert built[key] == value != flat_defaults.get(key), key
+
+    @staticmethod
+    def flatten(encoder, tc, gen) -> dict:
+        train = asdict(tc)
+        return {**asdict(encoder), **train.pop("flags"), **train.pop("weights"), **train, **gen}
+
+    @staticmethod
+    def other(value):
+        """A valid setting that differs from the default ``value``."""
+        if isinstance(value, bool):
+            return not value
+        return value + 2 if isinstance(value, int) else value / 2
+
+    def test_readme_lists_every_config_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Config files", 1)[1].split("\n## ", 1)[0]
+        listed = re.findall(r"`([a-z_0-9]+)`", section.split("Keys:", 1)[1])
+        assert sorted(listed) == sorted(CONFIG_KEYS)
 
 
 class TestGenData:
@@ -198,7 +243,7 @@ class TestTrainEval:
     @pytest.mark.parametrize("header", [b"{", b"\xff", b"[]", b'{"version": 1}'])
     def test_corrupt_checkpoint_header_exit_2(self, tmp_path, data_dir, header):
         bad = tmp_path / "bad.bin"
-        bad.write_bytes(b"FPMCKPT1" + struct.pack("<IQ", 1, len(header)) + header
+        bad.write_bytes(b"FPMCKPT1" + struct.pack("<IQ", _CKPT_VERSION, len(header)) + header
                         + struct.pack("<I", 0))
         code = main(["eval", "--checkpoint", str(bad),
                      "--data", str(data_dir / "dataset.bin"),
@@ -224,6 +269,36 @@ class TestTrainEval:
                      "--data", str(data_dir / "dataset.bin"),
                      "--out", str(tmp_path / "e")])
         assert code == 2
+
+    def test_old_checkpoint_version_exit_2(self, tmp_path, config_file, data_dir, capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--config", config_file, "--epochs", "0",
+                     "--data", str(data_dir / "dataset.bin"), "--out", str(run)]) == 0
+        blob = bytearray((run / "checkpoint.bin").read_bytes())
+        blob[8:12] = struct.pack("<I", 1)
+        old = tmp_path / "v1.bin"
+        old.write_bytes(bytes(blob))
+        code = main(["eval", "--checkpoint", str(old), "--data", str(data_dir / "dataset.bin"),
+                     "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert "unsupported checkpoint version 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,line", [(["--lr", "nan"], ""), (["--lr", "inf"], ""),
+                                            ([], "val_every = -1\n")],
+                             ids=["lr-nan", "lr-inf", "val-every-negative"])
+    def test_bad_train_setting_exit_1(self, tmp_path, data_dir, capsys, flags, line):
+        config = tmp_path / "bad.cfg"
+        config.write_text(CONFIG_TEXT + line)
+        code = main(["train", "--config", str(config), *flags,
+                     "--data", str(data_dir / "dataset.bin"), "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_negative_report_pairs_exit_1(self, tmp_path, capsys):
+        code = main(["eval", "--checkpoint", "x.bin", "--data", "x.bin", "--report",
+                     "--report-pairs", "-1", "--out", str(tmp_path / "e")])
+        assert code == 1
+        assert "--report-pairs" in capsys.readouterr().err
 
     def test_zero_region_count_dataset_exit_2(self, tmp_path, config_file, data_dir):
         blob = bytearray((data_dir / "dataset.bin").read_bytes())

@@ -24,11 +24,6 @@ class TestConfig:
         assert (c.feature_dim, c.shared_dim, c.projection_dim) == (64, 32, 16)
         assert (c.region_count, c.max_words) == (6, 12)
 
-    def test_paper_scale_dimensions(self):
-        c = EncoderConfig.paper_scale()
-        assert (c.feature_dim, c.shared_dim, c.projection_dim) == (2048, 1024, 256)
-        assert (c.region_count, c.max_words) == (6, 100)
-
     def test_region_count_minimum(self):
         with pytest.raises(ConfigError):
             EncoderConfig(region_count=1)
@@ -107,17 +102,6 @@ class TestEncodeText:
         bundle = encode_text(raw, params, CFG)
         assert bundle.raw_parts.shape == (CFG.feature_dim, 1)
         assert bundle.valid_len == 1
-
-    def test_padded_equals_unpadded(self, params):
-        rng = np.random.default_rng(7)
-        tokens = rng.normal(size=(3, CFG.text_raw_dim))
-        padded = np.zeros((CFG.max_words, CFG.text_raw_dim))
-        padded[:3] = tokens
-        a = encode_text(tokens, params, CFG)
-        b = encode_text(padded, params, CFG, length=3)
-        assert np.array_equal(a.global_embed.data, b.global_embed.data)
-        assert np.array_equal(a.local_embed.data, b.local_embed.data)
-        assert np.array_equal(a.raw_parts.data, b.raw_parts.data)
 
     def test_batch_matches_single(self, params):
         rng = np.random.default_rng(8)

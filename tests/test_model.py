@@ -44,10 +44,6 @@ class TestFlags:
         assert ModelFlags(use_local=False, use_mining=False).fusion() == "global"
         assert ModelFlags(use_global=False).fusion() == "local+mining"
 
-    def test_bad_reduction(self):
-        with pytest.raises(ConfigError):
-            ModelFlags(word_loss_reduction="median")
-
 
 class TestInitParams:
     def test_same_seed_same_params_across_variants(self):
@@ -227,16 +223,6 @@ class TestBatchLossAgainstReference:
         assert report.rank_local_neg == 0.0
         assert report.matched > 0.0 or report.mismatched >= 0.0
 
-    def test_word_loss_sum_reduction(self):
-        ds = toy_dataset(seed=5)
-        plan = next(iter(balanced_batches(ds, 6, seed=3)))
-        mean_model = Model(CFG, ModelFlags(word_loss_reduction="mean"), seed=6)
-        sum_model = Model(CFG, ModelFlags(word_loss_reduction="sum"), seed=6)
-        _, mean_rep, _ = mean_model.batch_loss(ds, plan, None)
-        _, sum_rep, _ = sum_model.batch_loss(ds, plan, None)
-        n = len(plan.matched)
-        assert sum_rep.matched == pytest.approx(mean_rep.matched * n, rel=1e-9)
-
     def test_gradients_flow_to_all_used_params(self):
         ds = toy_dataset(seed=6)
         model = Model(CFG, seed=7)
@@ -293,14 +279,14 @@ class TestWordHingesAgainstNumpyOracle:
 
     The oracle starts from the word-score tensor that ``word_score_tensor``
     returns for the batch's images and captions, and their text mask, so it
-    checks the hinge, reduction and cross-entropy arithmetic, under a
+    checks the hinge, mean and cross-entropy arithmetic, under a
     learnable boundary on both sides of zero.
     """
 
     PLANS = ((2, 1, 5), (5, 3, 6), (7, 5, 8))  # (dataset seed, plan seed, model seed)
 
     @staticmethod
-    def oracle(model, ds, plan, tau, reduction):
+    def oracle(model, ds, plan, tau):
         w = model.weights
         img_idx = sorted({i for i, _ in plan.matched} | {i for i, _ in plan.mismatched})
         txt_idx = sorted({t for _, t in plan.matched} | {t for _, t in plan.mismatched})
@@ -315,7 +301,7 @@ class TestWordHingesAgainstNumpyOracle:
             for i, t in pairs:
                 words = scores[img_idx.index(i), txt_idx.index(t)][mask[txt_idx.index(t)]]
                 vals.append(fn(words))
-            return float(np.mean(vals) if reduction == "mean" else np.sum(vals))
+            return float(np.mean(vals))
 
         matched = per_pair(plan.matched, lambda s: np.mean(
             np.maximum(-w.matched_slope * (s - tau) + w.matched_bias, 0.0)))
@@ -348,17 +334,16 @@ class TestWordHingesAgainstNumpyOracle:
                              p["id_local_w"])))
         return matched, mismatched, identity
 
-    @pytest.mark.parametrize("reduction", ["mean", "sum"])
-    @pytest.mark.parametrize("tau", [-0.05, -0.01, 0.01, 0.2])
-    def test_batch_loss_matches_oracle(self, tau, reduction):
+    # the hinges average over pairs, hence the "-mean" in each case's name
+    @pytest.mark.parametrize("tau", [-0.05, -0.01, 0.01, 0.2], ids="{}-mean".format)
+    def test_batch_loss_matches_oracle(self, tau):
         for ds_seed, plan_seed, model_seed in self.PLANS:
             ds = toy_dataset(seed=ds_seed)
             plan = next(iter(balanced_batches(ds, 6, seed=plan_seed)))
-            model = Model(CFG, ModelFlags(learnable_boundary=True,
-                                          word_loss_reduction=reduction), seed=model_seed)
+            model = Model(CFG, ModelFlags(learnable_boundary=True), seed=model_seed)
             model.params["boundary_tau"] = np.array(tau)
             _, report, _ = model.batch_loss(ds, plan, None)
-            matched, mismatched, identity = self.oracle(model, ds, plan, tau, reduction)
+            matched, mismatched, identity = self.oracle(model, ds, plan, tau)
             assert report.matched == pytest.approx(matched, rel=1e-12, abs=1e-12)
             assert report.mismatched == pytest.approx(mismatched, rel=1e-12, abs=1e-12)
             assert report.identity == pytest.approx(identity, rel=1e-12, abs=1e-12)

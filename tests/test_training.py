@@ -77,6 +77,11 @@ class TestTrainConfig:
             TrainConfig(batch_size=7)
         with pytest.raises(ConfigError):
             TrainConfig(epochs=-1)
+        for lr in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                TrainConfig(learning_rate=lr)
+        with pytest.raises(ConfigError):
+            TrainConfig(val_every=-1)
 
     def test_json_roundtrip(self):
         tc = toy_config(flags=ModelFlags(use_mining=False), learning_rate=0.01)
@@ -146,11 +151,6 @@ class TestTrain:
     def test_unbalanced_mode_trains(self):
         ds = toy_dataset()
         result = train(ds, toy_config(balanced_sampling=False))
-        assert result.checkpoint.step > 0
-
-    def test_grad_clip_runs(self):
-        ds = toy_dataset()
-        result = train(ds, toy_config(grad_clip_norm=1.0))
         assert result.checkpoint.step > 0
 
 
