@@ -12,7 +12,7 @@ rng = np.random.default_rng(0)
 
 # trainable leaves live on a tape; constants are plain tensors
 tape = GradTape()
-w = tape.leaf(rng.normal(size=(3, 4)), name="w")
+w = tape.leaf(rng.normal(size=(3, 4)))
 x = Tensor(rng.normal(size=(4, 1)))
 
 h = (w @ x).reshape((3,))

@@ -26,8 +26,7 @@ from .similarity import (MiningParams, SimilarityBreakdown, global_similarity,
                          overall_similarity, pair_breakdown, word_max_scores,
                          word_region_scores)
 from .training import (AdamState, Checkpoint, TrainConfig, adam_step, gradcheck,
-                       learnable_boundary_variant, load_checkpoint,
-                       model_from_checkpoint, save_checkpoint, train)
+                       load_checkpoint, model_from_checkpoint, save_checkpoint, train)
 
 __version__ = "0.1.0"
 
@@ -50,7 +49,7 @@ __all__ = [
     # sampling / model / training
     "BatchPlan", "balanced_batches", "Model", "ModelFlags", "FUSIONS", "init_params",
     "TrainConfig", "AdamState", "adam_step", "train", "Checkpoint", "save_checkpoint",
-    "load_checkpoint", "model_from_checkpoint", "gradcheck", "learnable_boundary_variant",
+    "load_checkpoint", "model_from_checkpoint", "gradcheck",
     # evaluation
     "RetrievalResult", "rank_gallery", "recall_at_k", "evaluate_retrieval",
     "ablation_suite", "mining_activity", "negative_evidence_report",

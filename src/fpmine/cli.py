@@ -51,6 +51,8 @@ WEIGHT_KEYS = tuple(f.name for f in fields(LossWeights))
 GEN_KEYS = ("identities", "samples_per_identity", "attribute_count", "noise",
             "text_noise", "hard_negative_fraction", "flip_count", "extra_token_max",
             "detail_count", "detail_strength", "min_hamming", "extra_token_pool", "strong_token_keep")
+DATA_KEYS = ENCODER_KEYS + GEN_KEYS                  # read by gen-data
+MODEL_KEYS = TRAIN_KEYS + FLAG_KEYS + WEIGHT_KEYS    # read by train and ablate
 
 
 def parse_config_file(path: Path) -> dict:
@@ -101,12 +103,15 @@ def build_configs(settings: dict) -> tuple[EncoderConfig, TrainConfig, dict]:
     return encoder, tc, gen
 
 
-def _collect_settings(args) -> dict:
+def _collect_settings(args, reads: tuple[str, ...]) -> dict:
+    """Config file values under CLI overrides; a key the command does not read is an error."""
     settings: dict = {}
     if getattr(args, "config", None):
         settings.update(parse_config_file(Path(args.config)))
-    overrides = getattr(args, "_overrides", {})
-    settings.update(overrides)
+    settings.update(getattr(args, "_overrides", {}))
+    unread = set(settings) - set(reads)
+    if unread:
+        raise ConfigError(f"unknown config keys for {args.command}: {sorted(unread)}")
     return settings
 
 
@@ -152,8 +157,7 @@ def _write_ndjson(path: Path, records: list[dict]) -> None:
 # ------------------------------------------------------------------- commands
 
 def cmd_gen_data(args) -> int:
-    settings = _collect_settings(args)
-    encoder, _tc, gen = build_configs(settings)
+    encoder, _tc, gen = build_configs(_collect_settings(args, DATA_KEYS))
     run_dir = Path(args.out)
     seed = int(args.seed)
     identities = int(gen.pop("identities", 50))
@@ -191,7 +195,7 @@ def _apply_train_cli_flags(args, settings: dict) -> dict:
 
 
 def cmd_train(args) -> int:
-    settings = _apply_train_cli_flags(args, _collect_settings(args))
+    settings = _apply_train_cli_flags(args, _collect_settings(args, MODEL_KEYS))
     _encoder, tc, _gen = build_configs(settings)
     run_dir = Path(args.out)
     dataset = load_dataset(args.data)
@@ -245,8 +249,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    settings = _collect_settings(args)
-    _encoder, tc, _gen = build_configs(settings)
+    _encoder, tc, _gen = build_configs(_collect_settings(args, MODEL_KEYS))
     if args.seed is not None:
         tc = replace(tc, seed=args.seed)
     if args.epochs is not None:
@@ -266,18 +269,18 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    settings = _collect_settings(args)
-    encoder, tc, gen = build_configs(settings)
+    encoder, tc, gen = build_configs(
+        _collect_settings(args, MODEL_KEYS if args.data else MODEL_KEYS + DATA_KEYS))
     run_dir = Path(args.out) if args.out else None
     if args.data:
         dataset = load_dataset(args.data)
     else:
         dataset = generate_synthetic_dataset(
-            tc.seed, gen.get("identities", 4), gen.get("samples_per_identity", 3),
+            tc.seed, gen.pop("identities", 4), gen.pop("samples_per_identity", 3),
             replace(encoder, feature_dim=min(encoder.feature_dim, 16),
                     shared_dim=min(encoder.shared_dim, 8),
                     projection_dim=min(encoder.projection_dim, 6)),
-            noise=gen.get("noise", 0.25))
+            **{"noise": 0.25, **gen})
     if run_dir is not None:
         write_manifest(run_dir, "gradcheck",
                        {"train": tc.to_json(), "tolerance": args.tolerance},

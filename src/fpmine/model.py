@@ -108,7 +108,7 @@ class Model:
         """Wrap parameters as tape leaves (training) or constants (evaluation)."""
         if tape is None:
             return {name: Tensor(arr) for name, arr in self.params.items()}
-        return {name: tape.leaf(arr, name) for name, arr in self.params.items()}
+        return {name: tape.leaf(arr) for name, arr in self.params.items()}
 
     def mining_params(self, bound: Mapping[str, Tensor]) -> MiningParams:
         return MiningParams(bound["mining_region_proj"], bound["mining_word_proj"])

@@ -161,7 +161,7 @@ class GradTape:
     def __len__(self) -> int:
         return len(self._inputs)
 
-    def leaf(self, value, name: str | None = None) -> Tensor:
+    def leaf(self, value) -> Tensor:
         """Register a trainable leaf; backward() always reports its gradient."""
         t = self._record(Tensor(value).data, (), None)
         self._leaves.append(t)
@@ -370,32 +370,36 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     return tape._record(out, (a,), bw)
 
 
-def reduce_max(a, axis: int = 0, keepdims: bool = False) -> Tensor:
-    """Max along one axis; gradient routes to the lowest-index maximizer.
-
-    Without a tape only the values are computed; the maximizer index is
-    needed by the backward pass alone.
-    """
-    a = _as_tensor(a)
-    ad = a.data
-    if ad.ndim == 0 or ad.shape[axis] == 0:
-        raise ShapeError(f"cannot reduce empty axis {axis} of shape {ad.shape}")
+def _max_along(a: Tensor, work: np.ndarray, axis: int, keepdims: bool,
+               valid: np.ndarray | None = None, default: float = 0.0) -> Tensor:
+    """``np.max`` of ``work`` along ``axis`` as an op on ``a``; slices where the kept-dims
+    ``valid`` is False yield ``default``. Only a tape takes the argmax: backward routes
+    each slice's gradient to its lowest-index maximizer (none for an invalid slice)."""
+    out = np.max(work, axis=axis, keepdims=True)
+    if valid is not None:
+        out = np.where(valid, out, default)
+    out = out if keepdims else np.squeeze(out, axis=axis)
     tape = _tape_of(a)
     if tape is None:
-        return Tensor._raw(np.max(ad, axis=axis, keepdims=keepdims))
-    idx = np.argmax(ad, axis=axis)
-    idxe = np.expand_dims(idx, axis)
-    val = np.take_along_axis(ad, idxe, axis)
-    out = val if keepdims else np.squeeze(val, axis=axis)
+        return Tensor._raw(out)
+    idx = np.expand_dims(np.argmax(work, axis=axis), axis)
+    shape = a.shape
 
     def bw(g):
-        g = np.asarray(g)
-        ge = g if keepdims else np.expand_dims(g, axis)
-        buf = np.zeros_like(ad)
-        np.put_along_axis(buf, idxe, ge, axis)
+        g = np.reshape(g, idx.shape)
+        buf = np.zeros(shape)
+        np.put_along_axis(buf, idx, g if valid is None else np.where(valid, g, 0.0), axis)
         return (buf,)
 
     return tape._record(out, (a,), bw)
+
+
+def reduce_max(a, axis: int = 0, keepdims: bool = False) -> Tensor:
+    """Max along one axis; gradient routes to the lowest-index maximizer."""
+    a = _as_tensor(a)
+    if a.ndim == 0 or a.shape[axis] == 0:
+        raise ShapeError(f"cannot reduce empty axis {axis} of shape {a.shape}")
+    return _max_along(a, a.data, axis, keepdims)
 
 
 def masked_max(a, mask, axis: int, keepdims: bool = False,
@@ -407,31 +411,11 @@ def masked_max(a, mask, axis: int, keepdims: bool = False,
     ``allow_empty``, in which case they yield ``default`` with zero gradient.
     """
     a = _as_tensor(a)
-    ad = a.data
-    maskb = np.broadcast_to(np.asarray(mask, dtype=bool), ad.shape)
-    valid = maskb.any(axis=axis)
-    if not valid.all():
-        if not allow_empty:
-            raise ContractError("masked_max over a slice with no valid entries")
-    work = np.where(maskb, ad, -np.inf)
-    idx = np.argmax(work, axis=axis)
-    idxe = np.expand_dims(idx, axis)
-    validk = np.expand_dims(valid, axis)
-    val = np.where(validk, np.take_along_axis(work, idxe, axis), default)
-    out = val if keepdims else np.squeeze(val, axis=axis)
-    tape = _tape_of(a)
-    if tape is None:
-        return Tensor._raw(out)
-
-    def bw(g):
-        g = np.asarray(g)
-        ge = g if keepdims else np.expand_dims(g, axis)
-        ge = np.where(validk, ge, 0.0)
-        buf = np.zeros_like(ad)
-        np.put_along_axis(buf, idxe, ge, axis)
-        return (buf,)
-
-    return tape._record(out, (a,), bw)
+    maskb = np.broadcast_to(np.asarray(mask, dtype=bool), a.shape)
+    valid = maskb.any(axis=axis, keepdims=True)
+    if not (allow_empty or valid.all()):
+        raise ContractError("masked_max over a slice with no valid entries")
+    return _max_along(a, np.where(maskb, a.data, -np.inf), axis, keepdims, valid, default)
 
 
 def masked_min(a, mask, axis: int, keepdims: bool = False,
@@ -565,13 +549,14 @@ def l2_normalize(a, axis: int = -1, eps: float = NORM_EPS) -> Tensor:
     return tape._record(out, (a,), bw)
 
 
-def _cosine_forward(a2, b2, groups: int = 1):
+def _cosine_forward(a2, b2, groups: int, win: np.ndarray | None):
     """Clamped cosines of the row pairs of (n * groups, d) ``a2`` and (m, d) ``b2``,
     maxed over each run of ``groups`` rows of ``a2``: ((n, m), norms). Computed as
     dot / |a_i| / |b_j| (normalized rows can miss 1.0 for identical rows), norms
     floored at NORM_EPS so zero rows yield 0. Dividing by |b_j| > 0 and clipping
     are monotone under rounding, so they commute with the max and run on the reduced
-    array: the products are taken one group member at a time."""
+    array: the products are taken one group member at a time. An (n, m) ``win``
+    receives the lowest-index member attaining each max of dot / |a_i|."""
     na = np.sqrt(np.sum(a2 * a2, axis=1))
     nb = np.sqrt(np.sum(b2 * b2, axis=1))
     da, db = np.maximum(na, NORM_EPS), np.maximum(nb, NORM_EPS)
@@ -582,6 +567,8 @@ def _cosine_forward(a2, b2, groups: int = 1):
     for k in range(1, groups):
         np.matmul(a3[:, k], b2.T, out=t)
         t /= da2[:, k:k + 1]
+        if win is not None:  # k only rises, so a strict > keeps the lowest index
+            np.maximum(win, (t > out).astype(win.dtype) * k, out=win)
         np.maximum(out, t, out=out)
     out /= db
     np.clip(out, -1.0, 1.0, out=out)
@@ -598,11 +585,10 @@ def cosine(a, b) -> Tensor:
 def max_cosine(a, b, groups: int) -> Tensor:
     """(n, m) max over each run of ``groups`` consecutive rows of (n * groups, d) ``a``
     of their clamped cosines with the rows of (m, d) ``b`` (MaxSim), as in
-    ``_cosine_forward``; untaped values can differ in the last bit where BLAS rounds
-    an (n, d) product unlike the (n * groups, d) one. A tape keeps the cosine slab;
-    backward routes each max to the lowest-index maximizer, passes nothing through a
-    clamped |cos| = 1 (the true gradient for parallel vectors) and drops a floored
-    norm's own term."""
+    ``_cosine_forward``, with or without a tape. A tape keeps the winning member
+    of each max, not the cosines; backward routes each max to the lowest-index
+    maximizer, passes nothing through a clamped |cos| = 1 (the true gradient for
+    parallel vectors) and drops a floored norm's own term."""
     a, b = _as_tensor(a), _as_tensor(b)
     if (a.ndim != b.ndim or a.ndim not in (1, 2) or not 1 <= a.shape[-1] == b.shape[-1]
             or groups < 1 or a.size // a.shape[-1] % groups):
@@ -611,27 +597,28 @@ def max_cosine(a, b, groups: int) -> Tensor:
     a2, b2 = a.data.reshape((-1, a.shape[-1])), b.data.reshape((-1, b.shape[-1]))
     shape = (len(a2) // groups, len(b2)) if a.ndim == 2 else ()
     tape = _tape_of(a, b)
+    win = None if tape is None else np.zeros(
+        (len(a2) // groups, len(b2)), np.min_scalar_type(groups - 1))
+    cos, (na, da, nb, db) = _cosine_forward(a2, b2, groups, win)
     if tape is None:
-        return Tensor._raw(_cosine_forward(a2, b2, groups)[0].reshape(shape))
-    cos, (na, da, nb, db) = _cosine_forward(a2, b2)
-    c3 = cos.reshape((-1, groups, cos.shape[1]))
-    idx = np.argmax(c3, axis=1)[:, None]
-    ca = np.where(na > NORM_EPS, 1.0 / (da * da), 0.0)
+        return Tensor._raw(cos.reshape(shape))
+    a3, da2 = a2.reshape((-1, groups, a2.shape[1])), da.reshape((-1, groups))
+    ca = np.where(na > NORM_EPS, 1.0 / (da * da), 0.0).reshape(da2.shape)
     cb = np.where(nb > NORM_EPS, 1.0 / (db * db), 0.0)
 
     def bw(g):
-        g3 = np.zeros_like(c3)
-        np.put_along_axis(g3, idx, np.reshape(g, (-1, 1, cos.shape[1])), 1)
-        g = g3.reshape(cos.shape)
+        g = np.reshape(g, cos.shape)
         if cos.min() <= -1.0 or cos.max() >= 1.0:  # clamped entries pass no gradient
             g = g * (np.abs(cos) < 1.0)
-        ga = g @ (b2 / db[:, None]) / da[:, None]
-        gb = ((a2 / da[:, None]).T @ g).T / db[:, None]
-        ga -= (np.einsum("ij,ij->i", g, cos) * ca)[:, None] * a2
-        gb -= (np.einsum("ij,ij->j", g, cos) * cb)[:, None] * b2
+        bs, ga, gb = b2 / db[:, None], np.empty(a3.shape), 0.0
+        for k in range(groups):  # each member takes the maxima it won
+            gk, ak, dak = g * (win == k), a3[:, k], da2[:, k:k + 1]
+            ga[:, k] = gk @ bs / dak - (np.einsum("ij,ij->i", gk, cos) * ca[:, k])[:, None] * ak
+            gb = gb + (ak / dak).T @ gk
+        gb = gb.T / db[:, None] - (np.einsum("ij,ij->j", g, cos) * cb)[:, None] * b2
         return ga.reshape(a.shape), gb.reshape(b.shape)
 
-    return tape._record(np.take_along_axis(c3, idx, 1).reshape(shape), (a, b), bw)
+    return tape._record(cos.reshape(shape), (a, b), bw)
 
 
 def strip_heads(x, w, b) -> Tensor:

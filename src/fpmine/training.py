@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,10 @@ class TrainConfig:
     val_every: int = 0              # epochs between validation passes; 0 = final only
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed", "val_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 0:
@@ -63,11 +68,6 @@ class TrainConfig:
         doc["flags"] = ModelFlags(**doc["flags"])
         doc["weights"] = LossWeights(**doc["weights"])
         return cls(**doc)
-
-
-def learnable_boundary_variant(config: TrainConfig, enabled: bool = True) -> TrainConfig:
-    """Config copy with the trainable decision boundary toggled."""
-    return replace(config, flags=replace(config.flags, learnable_boundary=enabled))
 
 
 @dataclass

@@ -15,8 +15,8 @@ from fpmine.training import _CKPT_VERSION, load_checkpoint
 
 CONFIG_KEYS = ENCODER_KEYS + TRAIN_KEYS + FLAG_KEYS + WEIGHT_KEYS + GEN_KEYS
 
-CONFIG_TEXT = """
-# tiny profile so CLI runs stay fast
+# tiny profile so CLI runs stay fast: gen-data reads the first, train and ablate the second
+DATA_CONFIG_TEXT = """
 feature_dim = 12
 shared_dim = 6
 projection_dim = 5
@@ -24,14 +24,23 @@ region_count = 3
 max_words = 8
 image_raw_dim = 7
 text_raw_dim = 7
-epochs = 2
-batch_size = 8
-val_fraction = 0.25
 attribute_count = 4
 detail_count = 1
 flip_count = 1
 min_hamming = 1
 """
+CONFIG_TEXT = """
+epochs = 2
+batch_size = 8
+val_fraction = 0.25
+"""
+
+
+@pytest.fixture()
+def data_config(tmp_path):
+    path = tmp_path / "data.cfg"
+    path.write_text(DATA_CONFIG_TEXT)
+    return str(path)
 
 
 @pytest.fixture()
@@ -42,10 +51,10 @@ def config_file(tmp_path):
 
 
 @pytest.fixture()
-def data_dir(tmp_path, config_file):
+def data_dir(tmp_path, data_config):
     out = tmp_path / "data"
     code = main(["gen-data", "--seed", "3", "--identities", "6", "--per-identity", "4",
-                 "--hard-negative-fraction", "0.4", "--config", config_file,
+                 "--hard-negative-fraction", "0.4", "--config", data_config,
                  "--out", str(out)])
     assert code == 0
     return out
@@ -126,7 +135,7 @@ class TestGenData:
         assert manifest["resolved_config"]["generator"]["identities"] == 6
         assert "dataset.bin" in manifest["outputs"]
 
-    def test_deterministic_replay_from_manifest(self, tmp_path, config_file, data_dir):
+    def test_deterministic_replay_from_manifest(self, tmp_path, data_config, data_dir):
         manifest = json.loads((data_dir / "manifest.json").read_text())
         gen = manifest["resolved_config"]["generator"]
         out2 = tmp_path / "data2"
@@ -134,14 +143,23 @@ class TestGenData:
                      "--identities", str(gen["identities"]),
                      "--per-identity", str(gen["samples_per_identity"]),
                      "--hard-negative-fraction", str(gen["hard_negative_fraction"]),
-                     "--config", config_file, "--out", str(out2)])
+                     "--config", data_config, "--out", str(out2)])
         assert code == 0
         assert (out2 / "dataset.bin").read_bytes() == (data_dir / "dataset.bin").read_bytes()
 
-    def test_bad_generator_config_exit_1(self, tmp_path, config_file):
-        code = main(["gen-data", "--identities", "1", "--config", config_file,
+    def test_bad_generator_config_exit_1(self, tmp_path, data_config):
+        code = main(["gen-data", "--identities", "1", "--config", data_config,
                      "--out", str(tmp_path / "x")])
         assert code == 1
+
+    def test_training_key_exit_1(self, tmp_path, capsys):
+        config = tmp_path / "c.cfg"
+        config.write_text(DATA_CONFIG_TEXT + CONFIG_TEXT)
+        code = main(["gen-data", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'epochs'" in err
+        assert not (tmp_path / "x" / "dataset.bin").exists()
 
 
 class TestTrainEval:
@@ -284,8 +302,11 @@ class TestTrainEval:
         assert "unsupported checkpoint version 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags,line", [(["--lr", "nan"], ""), (["--lr", "inf"], ""),
-                                            ([], "val_every = -1\n")],
-                             ids=["lr-nan", "lr-inf", "val-every-negative"])
+                                            ([], "val_every = -1\n"), ([], "epochs = 1.5\n"),
+                                            ([], "seed = 1.5\n"), ([], "batch_size = 8.0\n"),
+                                            ([], "val_every = true\n")],
+                             ids=["lr-nan", "lr-inf", "val-every-negative", "epochs-float",
+                                  "seed-float", "batch-size-float", "val-every-bool"])
     def test_bad_train_setting_exit_1(self, tmp_path, data_dir, capsys, flags, line):
         config = tmp_path / "bad.cfg"
         config.write_text(CONFIG_TEXT + line)
@@ -293,6 +314,21 @@ class TestTrainEval:
                      "--data", str(data_dir / "dataset.bin"), "--out", str(tmp_path / "r")])
         assert code == 1
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("command,line", [
+        (["train"], "feature_dim = 12.5\n"), (["train"], "identities = 9\n"),
+        (["ablate"], "noise = 0.5\n"), (["gradcheck"], "region_count = 2\n")],
+        ids=["train-encoder-key", "train-generator-key", "ablate-generator-key",
+             "gradcheck-data-encoder-key"])
+    def test_key_the_command_does_not_read_exit_1(self, tmp_path, data_dir, capsys,
+                                                  command, line):
+        config = tmp_path / "extra.cfg"
+        config.write_text(CONFIG_TEXT + line)
+        code = main([*command, "--config", str(config), "--data", str(data_dir / "dataset.bin"),
+                     "--out", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and line.split(" =")[0] in err
 
     def test_negative_report_pairs_exit_1(self, tmp_path, capsys):
         code = main(["eval", "--checkpoint", "x.bin", "--data", "x.bin", "--report",

@@ -164,6 +164,24 @@ class TestCosine:
         assert np.allclose(grads[a].data, [[0.6 / nm.NORM_EPS, 0.8 / nm.NORM_EPS]])
         assert grads[b].data.tolist() == [[0.0, 0.0]]
 
+    def test_row_stack_gradient_bit_identical_to_closed_form(self):
+        # groups of one keep the arithmetic of the dense rule, written out here
+        rng = np.random.default_rng(6)
+        a, b, w = rng.normal(size=(5, 4)), rng.normal(size=(3, 4)), rng.normal(size=(5, 3))
+        a[1], a[2] = 0.0, 2.0 * b[0]                     # a floored norm and a clamped +1
+        na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+        da, db = np.maximum(na, nm.NORM_EPS), np.maximum(nb, nm.NORM_EPS)
+        cos = np.clip(a @ b.T / da[:, None] / db, -1.0, 1.0)
+        g = w * (np.abs(cos) < 1.0)
+        ca = np.where(na > nm.NORM_EPS, 1 / da ** 2, 0.0)
+        ga = g @ (b / db[:, None]) / da[:, None]
+        ga -= (np.einsum("ij,ij->i", g, cos) * ca)[:, None] * a
+        gb = ((a / da[:, None]).T @ g).T / db[:, None]
+        gb -= (np.einsum("ij,ij->j", g, cos) * (1 / db ** 2))[:, None] * b
+        got = grad_of(lambda x, y: (nm.cosine(x, y) * w).sum(), a, b)
+        np.testing.assert_array_equal(got[0], ga)
+        np.testing.assert_array_equal(got[1], gb)
+
     def test_untaped_forward_holds_one_output_buffer(self):
         import tracemalloc
 
@@ -291,13 +309,13 @@ class TestMaxCosine:
 
     @pytest.mark.parametrize("groups", [1, 4, 20])
     def test_forward_on_rounded_products(self, groups):
-        # the taped forward is the composition's; the untaped one takes an (n, d)
+        # one forward rule: taped and untaped agree bit for bit; both take an (n, d)
         # product per group member, which BLAS may round unlike the (n * groups, d) one
         a, b = self.inputs()
         want = composed_max_cosine(Tensor(a), Tensor(b), groups).data
-        np.testing.assert_array_equal(nm.max_cosine(GradTape().leaf(a), b, groups).data, want)
-        np.testing.assert_allclose(nm.max_cosine(Tensor(a), Tensor(b), groups).data, want,
-                                   rtol=0, atol=1e-15)
+        taped = nm.max_cosine(GradTape().leaf(a), b, groups).data
+        np.testing.assert_array_equal(taped, nm.max_cosine(Tensor(a), Tensor(b), groups).data)
+        np.testing.assert_allclose(taped, want, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("groups", [1, 4, 20])
     def test_gradient_equals_composition(self, groups):
@@ -340,6 +358,21 @@ class TestMaxCosine:
             tracemalloc.stop()
         # the output and one region's products; the slab would be 6 outputs
         assert peak < 2.25 * out.data.nbytes
+
+    def test_taped_forward_keeps_no_slab(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(28)
+        tape = GradTape()
+        a, b = tape.leaf(rng.normal(size=(600 * 6, 8))), tape.leaf(rng.normal(size=(400, 8)))
+        tracemalloc.start()
+        try:
+            out = nm.max_cosine(a, b, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # as untaped, plus a one-byte winner index and the mask that updates it
+        assert peak < 3.0 * out.data.nbytes
 
     def test_one_tape_node(self):
         rng = np.random.default_rng(29)
@@ -586,6 +619,9 @@ class TestHelperOps:
         out = nm.masked_max(Tensor([[1.0], [2.0]]), np.array([[False], [True]]),
                             axis=1, allow_empty=True, default=-7.0)
         assert out.data.tolist() == [-7.0, 2.0]
+        g = grad_of(lambda x: nm.masked_max(x, np.array([[False], [True]]), axis=1,
+                                            allow_empty=True).sum(), np.array([[1.0], [2.0]]))
+        assert g[0].tolist() == [[0.0], [1.0]]  # the empty slice passes no gradient
 
     def test_masked_min(self):
         m = Tensor([[1.0, -9.0], [5.0, 2.0]])

@@ -16,10 +16,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_small(workload):
+def run_small(workload, *options):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--small",
-         "--seconds", "1"],
+         "--seconds", "1", *options],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -33,6 +33,11 @@ def test_small_gallery_eval_is_correct():
 
 def test_small_train_is_correct():
     run_small("train")
+
+
+def test_small_traced_train_is_correct():
+    # the tracer wraps numerics ops and Model methods by name: a renamed one fails here
+    run_small("train", "--trace", "1")
 
 
 def test_small_caption_lookup_is_correct():

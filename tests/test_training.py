@@ -16,8 +16,7 @@ from fpmine.errors import ConfigError, DataError
 from fpmine.model import Model, ModelFlags
 from fpmine.sampling import balanced_batches
 from fpmine.training import (AdamState, Checkpoint, TrainConfig, adam_step, gradcheck,
-                             learnable_boundary_variant, load_checkpoint,
-                             model_from_checkpoint, save_checkpoint, train)
+                             load_checkpoint, model_from_checkpoint, save_checkpoint, train)
 
 CFG = EncoderConfig(feature_dim=12, shared_dim=6, projection_dim=5, region_count=3,
                     max_words=8, image_raw_dim=7, text_raw_dim=7)
@@ -87,12 +86,6 @@ class TestTrainConfig:
         tc = toy_config(flags=ModelFlags(use_mining=False), learning_rate=0.01)
         back = TrainConfig.from_json(tc.to_json())
         assert back == tc
-
-    def test_learnable_boundary_variant(self):
-        tc = toy_config()
-        on = learnable_boundary_variant(tc)
-        assert on.flags.learnable_boundary and not tc.flags.learnable_boundary
-        assert learnable_boundary_variant(on, False).flags.learnable_boundary is False
 
 
 class TestTrain:
