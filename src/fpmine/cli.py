@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .dataset import (export_json, generate_synthetic_dataset, identity_split,
-                      load_dataset, save_dataset)
+                      load_dataset, save_dataset, write_atomic)
 from .encoders import EncoderConfig
 from .errors import ConfigError, DataError, FpmineError, InputError, NumericalError
 from .evaluation import (ablation_suite, evaluate_with_activity, negative_evidence_report,
@@ -49,8 +49,8 @@ TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name not in ("flags"
 FLAG_KEYS = tuple(f.name for f in fields(ModelFlags))
 WEIGHT_KEYS = tuple(f.name for f in fields(LossWeights))
 GEN_KEYS = ("identities", "samples_per_identity", "attribute_count", "noise",
-            "text_noise", "hard_negative_fraction", "flip_count", "extra_token_max",
-            "detail_count", "detail_strength", "min_hamming", "extra_token_pool", "strong_token_keep")
+            "text_noise", "hard_negative_fraction", "flip_count", "detail_count",
+            "detail_strength", "min_hamming", "strong_token_keep")
 DATA_KEYS = ENCODER_KEYS + GEN_KEYS                  # read by gen-data
 MODEL_KEYS = TRAIN_KEYS + FLAG_KEYS + WEIGHT_KEYS    # read by train and ablate
 
@@ -104,11 +104,12 @@ def build_configs(settings: dict) -> tuple[EncoderConfig, TrainConfig, dict]:
 
 
 def _collect_settings(args, reads: tuple[str, ...]) -> dict:
-    """Config file values under CLI overrides; a key the command does not read is an error."""
+    """Config file values under the CLI flags, each of which has its config key as its
+    dest; a key the command does not read is an error."""
     settings: dict = {}
     if getattr(args, "config", None):
         settings.update(parse_config_file(Path(args.config)))
-    settings.update(getattr(args, "_overrides", {}))
+    settings.update((k, v) for k, v in vars(args).items() if k in reads)
     unread = set(settings) - set(reads)
     if unread:
         raise ConfigError(f"unknown config keys for {args.command}: {sorted(unread)}")
@@ -135,23 +136,11 @@ def write_manifest(run_dir: Path, command: str, resolved: dict, inputs: list[Pat
         "outputs": outputs,
         "seed": seed,
     }
-    tmp = run_dir / "manifest.json.tmp"
-    tmp.write_text(json.dumps(doc, indent=2, sort_keys=True))
-    tmp.replace(run_dir / "manifest.json")
+    _write_json(run_dir / "manifest.json", doc)
 
 
 def _write_json(path: Path, doc) -> None:
-    tmp = Path(str(path) + ".tmp")
-    tmp.write_text(json.dumps(doc, indent=2, sort_keys=True))
-    tmp.replace(path)
-
-
-def _write_ndjson(path: Path, records: list[dict]) -> None:
-    tmp = Path(str(path) + ".tmp")
-    with tmp.open("w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    tmp.replace(path)
+    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True))
 
 
 # ------------------------------------------------------------------- commands
@@ -174,29 +163,8 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _apply_train_cli_flags(args, settings: dict) -> dict:
-    direct = {
-        "epochs": args.epochs, "batch_size": args.batch_size, "learning_rate": args.lr,
-        "seed": args.seed, "val_every": args.val_every, "val_fraction": args.val_fraction,
-    }
-    for key, value in direct.items():
-        if value is not None:
-            settings[key] = value
-    for flag, key in (("no_global", "use_global"), ("no_local", "use_local"),
-                      ("no_mining", "use_mining"), ("no_mining_mask", "use_mining_mask"),
-                      ("no_local_neg_ranking", "use_local_neg_ranking")):
-        if getattr(args, flag):
-            settings[key] = False
-    if args.learnable_boundary:
-        settings["learnable_boundary"] = True
-    if args.no_balanced_sample:
-        settings["balanced_sampling"] = False
-    return settings
-
-
 def cmd_train(args) -> int:
-    settings = _apply_train_cli_flags(args, _collect_settings(args, MODEL_KEYS))
-    _encoder, tc, _gen = build_configs(settings)
+    _encoder, tc, _gen = build_configs(_collect_settings(args, MODEL_KEYS))
     run_dir = Path(args.out)
     dataset = load_dataset(args.data)
     resolved = {"train": tc.to_json(), "data": str(args.data)}
@@ -205,7 +173,8 @@ def cmd_train(args) -> int:
                    ["checkpoint.bin", "log.ndjson"], tc.seed)
     result = train(dataset, tc)
     save_checkpoint(result.checkpoint, run_dir / "checkpoint.bin")
-    _write_ndjson(run_dir / "log.ndjson", result.log)
+    write_atomic(run_dir / "log.ndjson",
+                 "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in result.log))
     steps = result.checkpoint.step
     last_total = next((r["total"] for r in reversed(result.log) if r["type"] == "step"), None)
     print(f"trained {tc.epochs} epochs ({steps} steps); "
@@ -250,10 +219,6 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     _encoder, tc, _gen = build_configs(_collect_settings(args, MODEL_KEYS))
-    if args.seed is not None:
-        tc = replace(tc, seed=args.seed)
-    if args.epochs is not None:
-        tc = replace(tc, epochs=args.epochs)
     run_dir = Path(args.out)
     dataset = load_dataset(args.data)
     resolved = {"train": tc.to_json(), "data": str(args.data)}
@@ -273,8 +238,9 @@ def cmd_gradcheck(args) -> int:
         _collect_settings(args, MODEL_KEYS if args.data else MODEL_KEYS + DATA_KEYS))
     run_dir = Path(args.out) if args.out else None
     if args.data:
-        dataset = load_dataset(args.data)
-    else:
+        dataset, source = load_dataset(args.data), {"data": str(args.data)}
+    else:  # the settings it read, before the pops below take the sizes out of gen
+        source = {"encoder": asdict(encoder), "generator": dict(gen)}
         dataset = generate_synthetic_dataset(
             tc.seed, gen.pop("identities", 4), gen.pop("samples_per_identity", 3),
             replace(encoder, feature_dim=min(encoder.feature_dim, 16),
@@ -283,8 +249,8 @@ def cmd_gradcheck(args) -> int:
             **{"noise": 0.25, **gen})
     if run_dir is not None:
         write_manifest(run_dir, "gradcheck",
-                       {"train": tc.to_json(), "tolerance": args.tolerance},
-                       [Path(args.config)] if args.config else [],
+                       {"train": tc.to_json(), "tolerance": args.tolerance, **source},
+                       [Path(p) for p in (args.data, args.config) if p],
                        ["gradcheck.json"], tc.seed)
     report = gradcheck(dataset, tc, tolerance=args.tolerance)
     if run_dir is not None:
@@ -304,12 +270,16 @@ def build_parser() -> _Parser:
                                  "false-positive mining (desk-scale).")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # a flag that sets a config key has that key as its dest and no default: the
+    # settings take it over the config file only when it is given
+    keyed = dict(default=argparse.SUPPRESS)
+
     g = sub.add_parser("gen-data", help="generate a synthetic dataset")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--identities", type=int)
-    g.add_argument("--per-identity", type=int)
-    g.add_argument("--hard-negative-fraction", type=float)
-    g.add_argument("--noise", type=float)
+    g.add_argument("--identities", type=int, **keyed)
+    g.add_argument("--per-identity", dest="samples_per_identity", type=int, **keyed)
+    g.add_argument("--hard-negative-fraction", type=float, **keyed)
+    g.add_argument("--noise", type=float, **keyed)
     g.add_argument("--config", help="JSON or KEY=VALUE settings file")
     g.add_argument("--out", required=True, help="run directory")
     g.set_defaults(func=cmd_gen_data)
@@ -318,19 +288,18 @@ def build_parser() -> _Parser:
     t.add_argument("--config")
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--epochs", type=int)
-    t.add_argument("--batch-size", type=int)
-    t.add_argument("--lr", type=float)
-    t.add_argument("--seed", type=int)
-    t.add_argument("--val-every", type=int)
-    t.add_argument("--val-fraction", type=float)
-    t.add_argument("--no-global", action="store_true")
-    t.add_argument("--no-local", action="store_true")
-    t.add_argument("--no-mining", action="store_true")
-    t.add_argument("--no-mining-mask", action="store_true")
-    t.add_argument("--no-local-neg-ranking", action="store_true")
-    t.add_argument("--no-balanced-sample", action="store_true")
-    t.add_argument("--learnable-boundary", action="store_true")
+    t.add_argument("--epochs", type=int, **keyed)
+    t.add_argument("--batch-size", type=int, **keyed)
+    t.add_argument("--lr", dest="learning_rate", type=float, **keyed)
+    t.add_argument("--seed", type=int, **keyed)
+    t.add_argument("--val-every", type=int, **keyed)
+    t.add_argument("--val-fraction", type=float, **keyed)
+    for flag, key in (("--no-global", "use_global"), ("--no-local", "use_local"),
+                      ("--no-mining", "use_mining"), ("--no-mining-mask", "use_mining_mask"),
+                      ("--no-local-neg-ranking", "use_local_neg_ranking"),
+                      ("--no-balanced-sample", "balanced_sampling")):
+        t.add_argument(flag, dest=key, action="store_false", **keyed)
+    t.add_argument("--learnable-boundary", action="store_true", **keyed)
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint (text-to-image R@K)")
@@ -347,8 +316,8 @@ def build_parser() -> _Parser:
     a.add_argument("--config")
     a.add_argument("--data", required=True)
     a.add_argument("--out", required=True)
-    a.add_argument("--seed", type=int)
-    a.add_argument("--epochs", type=int)
+    a.add_argument("--seed", type=int, **keyed)
+    a.add_argument("--epochs", type=int, **keyed)
     a.set_defaults(func=cmd_ablate)
 
     c = sub.add_parser("gradcheck", help="check tape gradients against finite differences")
@@ -360,24 +329,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _gen_data_overrides(args) -> dict:
-    out = {}
-    if args.identities is not None:
-        out["identities"] = args.identities
-    if getattr(args, "per_identity", None) is not None:
-        out["samples_per_identity"] = args.per_identity
-    if getattr(args, "hard_negative_fraction", None) is not None:
-        out["hard_negative_fraction"] = args.hard_negative_fraction
-    if getattr(args, "noise", None) is not None:
-        out["noise"] = args.noise
-    return out
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args._overrides = _gen_data_overrides(args) if args.command == "gen-data" else {}
         return args.func(args)
     except (ConfigError, InputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

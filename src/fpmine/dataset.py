@@ -27,6 +27,7 @@ from .encoders import EncoderConfig, Sample
 from .errors import ConfigError, DataError, ShapeError
 
 _MAGIC = b"FPMDSET1"
+EXTRA_TOKENS = 4  # most repeated attributes a caption adds after its mentions
 
 
 @dataclass(frozen=True)
@@ -59,18 +60,17 @@ class SyntheticDataset:
 def generate_synthetic_dataset(seed: int, identity_count: int, samples_per_identity: int,
                                config: EncoderConfig, *, attribute_count: int = 12,
                                noise: float = 0.12, hard_negative_fraction: float = 0.0,
-                               flip_count: int = 2, extra_token_max: int = 4,
+                               flip_count: int = 2,
                                detail_count: int = 2, detail_strength: float = 0.2,
                                text_noise: float | None = None,
                                min_hamming: int = 3,
-                               extra_token_pool: str = "detail",
                                strong_token_keep: float = 1.0) -> SyntheticDataset:
     """Deterministically generate a labelled (image, caption) dataset.
 
     Matched pairs are learnably more similar than mismatched ones: both
     modalities are linear views of the shared attribute signs. Token order
     and count vary per sample (length in [attribute_count,
-    attribute_count + extra_token_max], capped at config.max_words).
+    attribute_count + EXTRA_TOKENS], capped at config.max_words).
 
     The trailing ``detail_count`` attributes are *pervasive but faint*:
     they appear in every image strip at ``detail_strength`` yet as
@@ -92,10 +92,10 @@ def generate_synthetic_dataset(seed: int, identity_count: int, samples_per_ident
     only near-duplicates in the data (accidental sign-vector collisions
     would otherwise create unresolvable queries).
 
-    Captions longer than ``attribute_count`` repeat attributes drawn from
-    ``extra_token_pool`` ("detail" or "all"): people restate the
-    distinguishing details. Repeats multiply summed word evidence without
-    changing max-pooled sentence features.
+    Captions longer than ``attribute_count`` repeat detail attributes (any
+    attribute when there are none): people restate the distinguishing
+    details. Repeats multiply summed word evidence without changing
+    max-pooled sentence features.
 
     ``strong_token_keep`` < 1 makes captions *partial*: each strong
     attribute is mentioned with that probability while details are always
@@ -125,8 +125,6 @@ def generate_synthetic_dataset(seed: int, identity_count: int, samples_per_ident
         text_noise = noise / 3.0
     if text_noise < 0.0:
         raise ConfigError("text_noise must be >= 0")
-    if extra_token_pool not in ("detail", "all"):
-        raise ConfigError(f"extra_token_pool must be 'detail' or 'all', got {extra_token_pool!r}")
     if not 0.0 < strong_token_keep <= 1.0:
         raise ConfigError("strong_token_keep must be in (0, 1]")
 
@@ -180,9 +178,8 @@ def generate_synthetic_dataset(seed: int, identity_count: int, samples_per_ident
         else:
             attrs[ident] = place_random(ident)
 
-    max_extra = min(extra_token_max, config.max_words - attribute_count)
-    extras_pool = (detail_attrs if extra_token_pool == "detail" and detail_count
-                   else np.arange(attribute_count))
+    max_extra = min(EXTRA_TOKENS, config.max_words - attribute_count)
+    extras_pool = detail_attrs if detail_count else np.arange(attribute_count)
     samples: list[Sample] = []
     for ident in range(identity_count):
         sign = attrs[ident]
@@ -291,8 +288,14 @@ def save_dataset(dataset: SyntheticDataset, path) -> None:
         buf += struct.pack("<IH", s.identity_id, s.length)
         buf += np.ascontiguousarray(s.image_raw, dtype="<f8").tobytes()
         buf += np.ascontiguousarray(s.text_raw, dtype="<f8").tobytes()
+    write_atomic(path, bytes(buf))
+
+
+def write_atomic(path, data: bytes | str) -> None:
+    """Write ``data`` (a str as UTF-8) to ``path`` through a renamed temporary file, so
+    readers see the old file or the whole new one, never a partial write."""
     tmp = Path(str(path) + ".tmp")
-    tmp.write_bytes(bytes(buf))
+    tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
     tmp.replace(path)
 
 
@@ -379,6 +382,4 @@ def export_json(dataset: SyntheticDataset, path) -> None:
             for s in dataset.samples
         ],
     }
-    tmp = Path(str(path) + ".tmp")
-    tmp.write_text(json.dumps(doc, sort_keys=True))
-    tmp.replace(path)
+    write_atomic(path, json.dumps(doc, sort_keys=True))

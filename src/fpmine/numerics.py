@@ -245,71 +245,60 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data + b.data
-    tape = _tape_of(a, b)
+def _emit(out: np.ndarray, inputs: Sequence[Tensor], bw) -> Tensor:
+    """Record ``out`` on the tape of ``inputs`` with backward rule ``bw`` (the output's
+    gradient -> one gradient per input), or return it untaped when no input is on a
+    tape. Every op records through here: it computes only its value, and whatever only
+    backward needs is computed inside ``bw``."""
+    tape = _tape_of(*inputs)
     if tape is None:
         return Tensor._raw(out)
+    return tape._record(out, inputs, bw)
+
+
+def add(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
     ash, bsh = a.shape, b.shape
 
     def bw(g):
         return _unbroadcast(g, ash), _unbroadcast(g, bsh)
 
-    return tape._record(out, (a, b), bw)
+    return _emit(a.data + b.data, (a, b), bw)
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data - b.data
-    tape = _tape_of(a, b)
-    if tape is None:
-        return Tensor._raw(out)
     ash, bsh = a.shape, b.shape
 
     def bw(g):
         return _unbroadcast(g, ash), _unbroadcast(-g, bsh)
 
-    return tape._record(out, (a, b), bw)
+    return _emit(a.data - b.data, (a, b), bw)
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data * b.data
-    tape = _tape_of(a, b)
-    if tape is None:
-        return Tensor._raw(out)
     ad, bd = a.data, b.data
-    ash, bsh = a.shape, b.shape
 
     def bw(g):
-        return _unbroadcast(g * bd, ash), _unbroadcast(g * ad, bsh)
+        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
-    return tape._record(out, (a, b), bw)
+    return _emit(ad * bd, (a, b), bw)
 
 
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data / b.data
-    tape = _tape_of(a, b)
-    if tape is None:
-        return Tensor._raw(out)
     ad, bd = a.data, b.data
-    ash, bsh = a.shape, b.shape
 
     def bw(g):
-        return _unbroadcast(g / bd, ash), _unbroadcast(-g * ad / (bd * bd), bsh)
+        return _unbroadcast(g / bd, ad.shape), _unbroadcast(-g * ad / (bd * bd), bd.shape)
 
-    return tape._record(out, (a, b), bw)
+    return _emit(ad / bd, (a, b), bw)
 
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
-    out = -a.data
-    tape = _tape_of(a)
-    if tape is None:
-        return Tensor._raw(out)
-    return tape._record(out, (a,), lambda g: (-g,))
+    return _emit(-a.data, (a,), lambda g: (-g,))
 
 
 def matmul(a, b) -> Tensor:
@@ -319,45 +308,29 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul requires 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    out = a.data @ b.data
-    tape = _tape_of(a, b)
-    if tape is None:
-        return Tensor._raw(out)
     ad, bd = a.data, b.data
 
     def bw(g):
         return g @ bd.T, ad.T @ g
 
-    return tape._record(out, (a, b), bw)
+    return _emit(ad @ bd, (a, b), bw)
 
 
 def transpose(a) -> Tensor:
     a = _as_tensor(a)
     if a.ndim != 2:
         raise ShapeError(f"transpose requires a 2-D tensor, got {a.shape}")
-    out = a.data.T
-    tape = _tape_of(a)
-    if tape is None:
-        return Tensor._raw(out)
-    return tape._record(out, (a,), lambda g: (np.asarray(g).T,))
+    return _emit(a.data.T, (a,), lambda g: (np.asarray(g).T,))
 
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
-    out = np.reshape(a.data, shape)
-    tape = _tape_of(a)
-    if tape is None:
-        return Tensor._raw(out)
     orig = a.shape
-    return tape._record(out, (a,), lambda g: (np.reshape(np.asarray(g), orig),))
+    return _emit(np.reshape(a.data, shape), (a,), lambda g: (np.reshape(np.asarray(g), orig),))
 
 
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
-    out = np.asarray(np.sum(a.data, axis=axis, keepdims=keepdims))
-    tape = _tape_of(a)
-    if tape is None:
-        return Tensor._raw(out)
     shape = a.shape
 
     def bw(g):
@@ -367,7 +340,7 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
         ge = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(ge, shape),)
 
-    return tape._record(out, (a,), bw)
+    return _emit(np.asarray(np.sum(a.data, axis=axis, keepdims=keepdims)), (a,), bw)
 
 
 def _max_along(a: Tensor, work: np.ndarray, axis: int, keepdims: bool,
@@ -379,10 +352,7 @@ def _max_along(a: Tensor, work: np.ndarray, axis: int, keepdims: bool,
     if valid is not None:
         out = np.where(valid, out, default)
     out = out if keepdims else np.squeeze(out, axis=axis)
-    tape = _tape_of(a)
-    if tape is None:
-        return Tensor._raw(out)
-    idx = np.expand_dims(np.argmax(work, axis=axis), axis)
+    idx = None if _tape_of(a) is None else np.expand_dims(np.argmax(work, axis=axis), axis)
     shape = a.shape
 
     def bw(g):
@@ -391,7 +361,7 @@ def _max_along(a: Tensor, work: np.ndarray, axis: int, keepdims: bool,
         np.put_along_axis(buf, idx, g if valid is None else np.where(valid, g, 0.0), axis)
         return (buf,)
 
-    return tape._record(out, (a,), bw)
+    return _emit(out, (a,), bw)
 
 
 def reduce_max(a, axis: int = 0, keepdims: bool = False) -> Tensor:
@@ -427,31 +397,15 @@ def masked_min(a, mask, axis: int, keepdims: bool = False,
 def maximum(a, threshold: float) -> Tensor:
     """Elementwise max against a constant; subgradient 0 exactly at the kink."""
     a = _as_tensor(a)
-    out = np.maximum(a.data, threshold)
-    tape = _tape_of(a)
-    if tape is None:
-        return Tensor._raw(out)
-    active = a.data > threshold
-
-    def bw(g):
-        return (np.asarray(g) * active,)
-
-    return tape._record(out, (a,), bw)
+    return _emit(np.maximum(a.data, threshold), (a,),
+                 lambda g: (np.asarray(g) * (a.data > threshold),))
 
 
 def minimum(a, threshold: float) -> Tensor:
     """Elementwise min against a constant; subgradient 0 exactly at the kink."""
     a = _as_tensor(a)
-    out = np.minimum(a.data, threshold)
-    tape = _tape_of(a)
-    if tape is None:
-        return Tensor._raw(out)
-    active = a.data < threshold
-
-    def bw(g):
-        return (np.asarray(g) * active,)
-
-    return tape._record(out, (a,), bw)
+    return _emit(np.minimum(a.data, threshold), (a,),
+                 lambda g: (np.asarray(g) * (a.data < threshold),))
 
 
 def relu(a) -> Tensor:
@@ -465,68 +419,48 @@ def clamp(a, lo: float, hi: float) -> Tensor:
 def sqrt(a) -> Tensor:
     a = _as_tensor(a)
     out = np.sqrt(a.data)
-    tape = _tape_of(a)
-    if tape is None:
-        return Tensor._raw(out)
 
     def bw(g):
         # floor keeps 0 * (1/0) from producing NaN when upstream grad is 0
         return (np.asarray(g) * 0.5 / np.maximum(out, 1e-150),)
 
-    return tape._record(out, (a,), bw)
+    return _emit(out, (a,), bw)
 
 
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     out = np.exp(a.data)
-    tape = _tape_of(a)
-    if tape is None:
-        return Tensor._raw(out)
-    return tape._record(out, (a,), lambda g: (np.asarray(g) * out,))
+    return _emit(out, (a,), lambda g: (np.asarray(g) * out,))
 
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
-    out = np.log(a.data)
-    tape = _tape_of(a)
-    if tape is None:
-        return Tensor._raw(out)
-    ad = a.data
-    return tape._record(out, (a,), lambda g: (np.asarray(g) / ad,))
+    return _emit(np.log(a.data), (a,), lambda g: (np.asarray(g) / a.data,))
 
 
 def take_rows(a, indices) -> Tensor:
     """Gather along axis 0 (duplicate indices accumulate gradient)."""
     a = _as_tensor(a)
     idx = np.asarray(indices, dtype=np.intp)
-    out = a.data[idx]
-    tape = _tape_of(a)
-    if tape is None:
-        return Tensor._raw(out)
-    ad = a.data
 
     def bw(g):
-        buf = np.zeros_like(ad)
+        buf = np.zeros_like(a.data)
         np.add.at(buf, idx, np.asarray(g))
         return (buf,)
 
-    return tape._record(out, (a,), bw)
+    return _emit(a.data[idx], (a,), bw)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    ts = [_as_tensor(t) for t in tensors]
+    ts = tuple(_as_tensor(t) for t in tensors)
     if not ts:
         raise ShapeError("stack of zero tensors")
-    out = np.stack([t.data for t in ts], axis=axis)
-    tape = _tape_of(*ts)
-    if tape is None:
-        return Tensor._raw(out)
 
     def bw(g):
         moved = np.moveaxis(np.asarray(g), axis, 0)
         return tuple(moved[i] for i in range(len(ts)))
 
-    return tape._record(out, tuple(ts), bw)
+    return _emit(np.stack([t.data for t in ts], axis=axis), ts, bw)
 
 
 def l2_normalize(a, axis: int = -1, eps: float = NORM_EPS) -> Tensor:
@@ -536,17 +470,13 @@ def l2_normalize(a, axis: int = -1, eps: float = NORM_EPS) -> Tensor:
     n = np.sqrt(np.sum(ad * ad, axis=axis, keepdims=True))
     d = np.maximum(n, eps)
     out = ad / d
-    tape = _tape_of(a)
-    if tape is None:
-        return Tensor._raw(out)
-    big = n > eps
 
     def bw(g):
         g = np.asarray(g)
         inner = np.sum(g * out, axis=axis, keepdims=True)
-        return (np.where(big, (g - out * inner) / d, g / eps),)
+        return (np.where(n > eps, (g - out * inner) / d, g / eps),)
 
-    return tape._record(out, (a,), bw)
+    return _emit(out, (a,), bw)
 
 
 def _cosine_forward(a2, b2, groups: int, win: np.ndarray | None):
@@ -596,20 +526,17 @@ def max_cosine(a, b, groups: int) -> Tensor:
                          f"with {b.shape} rows")
     a2, b2 = a.data.reshape((-1, a.shape[-1])), b.data.reshape((-1, b.shape[-1]))
     shape = (len(a2) // groups, len(b2)) if a.ndim == 2 else ()
-    tape = _tape_of(a, b)
-    win = None if tape is None else np.zeros(
+    win = None if _tape_of(a, b) is None else np.zeros(
         (len(a2) // groups, len(b2)), np.min_scalar_type(groups - 1))
     cos, (na, da, nb, db) = _cosine_forward(a2, b2, groups, win)
-    if tape is None:
-        return Tensor._raw(cos.reshape(shape))
-    a3, da2 = a2.reshape((-1, groups, a2.shape[1])), da.reshape((-1, groups))
-    ca = np.where(na > NORM_EPS, 1.0 / (da * da), 0.0).reshape(da2.shape)
-    cb = np.where(nb > NORM_EPS, 1.0 / (db * db), 0.0)
 
     def bw(g):
         g = np.reshape(g, cos.shape)
         if cos.min() <= -1.0 or cos.max() >= 1.0:  # clamped entries pass no gradient
             g = g * (np.abs(cos) < 1.0)
+        a3, da2 = a2.reshape((-1, groups, a2.shape[1])), da.reshape((-1, groups))
+        ca = np.where(na > NORM_EPS, 1.0 / (da * da), 0.0).reshape(da2.shape)
+        cb = np.where(nb > NORM_EPS, 1.0 / (db * db), 0.0)
         bs, ga, gb = b2 / db[:, None], np.empty(a3.shape), 0.0
         for k in range(groups):  # each member takes the maxima it won
             gk, ak, dak = g * (win == k), a3[:, k], da2[:, k:k + 1]
@@ -618,7 +545,7 @@ def max_cosine(a, b, groups: int) -> Tensor:
         gb = gb.T / db[:, None] - (np.einsum("ij,ij->j", g, cos) * cb)[:, None] * b2
         return ga.reshape(a.shape), gb.reshape(b.shape)
 
-    return tape._record(cos.reshape(shape), (a, b), bw)
+    return _emit(cos.reshape(shape), (a, b), bw)
 
 
 def strip_heads(x, w, b) -> Tensor:
@@ -635,9 +562,6 @@ def strip_heads(x, w, b) -> Tensor:
     xk = xd.transpose(1, 0, 2) if xd.ndim == 3 else xd  # (K, n, C) or shared (n, C)
     out = np.ascontiguousarray(np.matmul(xk, wd.transpose(0, 2, 1)).transpose(1, 0, 2))
     out += b.data
-    tape = _tape_of(x, w, b)
-    if tape is None:
-        return Tensor._raw(out)
 
     def bw(g):
         gk = np.asarray(g).transpose(1, 0, 2)  # (K, n, P)
@@ -645,7 +569,7 @@ def strip_heads(x, w, b) -> Tensor:
               else np.reshape(g, (xd.shape[0], -1)) @ wd.reshape((-1, xd.shape[1])))
         return gx, np.matmul(gk.transpose(0, 2, 1), xk), np.sum(g, axis=0)
 
-    return tape._record(out, (x, w, b), bw)
+    return _emit(out, (x, w, b), bw)
 
 
 def cross_entropy(logits, labels) -> Tensor:
@@ -664,16 +588,13 @@ def cross_entropy(logits, labels) -> Tensor:
     e = np.exp(zd - m)
     total = np.sum(e, axis=1, keepdims=True)
     out = np.sum((np.log(total) + m)[:, 0] - zd[rows, labels]) * scale
-    tape = _tape_of(z)
-    if tape is None:
-        return Tensor._raw(out)
 
     def bw(g):
         d = e / total
         d[rows, labels] -= 1.0
         return (d * (np.asarray(g) * scale),)
 
-    return tape._record(out, (z,), bw)
+    return _emit(out, (z,), bw)
 
 
 def hardest_negative_hinge(sim, negatives, rows, cols, margin: float) -> Tensor:
@@ -700,17 +621,13 @@ def hardest_negative_hinge(sim, negatives, rows, cols, margin: float) -> Tensor:
     gap = picked[:2 * n] - np.concatenate([picked[2 * n:], picked[2 * n:]]) + margin
     side = np.maximum(gap, 0.0) * avail
     out = np.sum(side[:n] + side[n:]) * (1.0 / n)
-    tape = _tape_of(s)
-    if tape is None:
-        return Tensor._raw(out)
-    active = (gap > 0) & avail
 
     def bw(g):
-        c = active * (np.asarray(g) * (1.0 / n))
+        c = ((gap > 0) & avail) * (np.asarray(g) * (1.0 / n))
         weights = np.concatenate([c, -(c[:n] + c[n:])])
         return (np.bincount(cells, weights, minlength=sd.size).reshape(sd.shape),)
 
-    return tape._record(out, (s,), bw)
+    return _emit(out, (s,), bw)
 
 
 def dot(a, b) -> Tensor:

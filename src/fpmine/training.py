@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import SyntheticDataset, _Reader, identity_split
+from .dataset import SyntheticDataset, _Reader, identity_split, write_atomic
 from .encoders import EncoderConfig
 from .errors import ConfigError, DataError, NumericalError
 from .losses import LossWeights
@@ -254,9 +254,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         for d in arr.shape:
             buf += struct.pack("<I", d)
         buf += arr.tobytes()
-    tmp = Path(str(path) + ".tmp")
-    tmp.write_bytes(bytes(buf))
-    tmp.replace(path)
+    write_atomic(path, bytes(buf))
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -259,9 +259,7 @@ def test_gradient_check_resolves_a_small_wrong_gradient():
 
     def skewed(a, b):
         out = fn(a, b)
-        if out.tape is None:
-            return out
-        return out.tape._record(out.data, (out,), lambda g: (g * (1.0 + 3e-5),))
+        return nm._emit(out.data, (out,), lambda g: (g * (1.0 + 3e-5),))
 
     arrays = sampler()
     assert check_path(fn, arrays) <= 1e-5 < check_path(skewed, arrays)

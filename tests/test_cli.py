@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fpmine.cli import (ENCODER_KEYS, FLAG_KEYS, GEN_KEYS, TRAIN_KEYS, WEIGHT_KEYS,
-                        build_configs, main, parse_config_file)
+from fpmine.cli import (DATA_KEYS, ENCODER_KEYS, FLAG_KEYS, GEN_KEYS, MODEL_KEYS, TRAIN_KEYS,
+                        WEIGHT_KEYS, _collect_settings, build_configs, build_parser, main,
+                        parse_config_file)
 from fpmine.training import _CKPT_VERSION, load_checkpoint
 
 CONFIG_KEYS = ENCODER_KEYS + TRAIN_KEYS + FLAG_KEYS + WEIGHT_KEYS + GEN_KEYS
@@ -86,14 +87,15 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("key", ["beta1", "beta2", "adam_eps", "grad_clip_norm",
                                      "lr_decay_every", "lr_decay_factor",
-                                     "word_loss_reduction"])
+                                     "word_loss_reduction", "extra_token_max",
+                                     "extra_token_pool"])
     def test_removed_key_is_unknown(self, tmp_path, capsys, key):
         p = tmp_path / "c.cfg"
         p.write_text(f"{key} = 1.0\n")
-        code = main(["train", "--config", str(p), "--data", "x.bin",
-                     "--out", str(tmp_path / "run")])
-        assert code == 1
-        assert "unknown config keys" in capsys.readouterr().err
+        for command in (["train", "--data", "x.bin"], ["gen-data"]):
+            code = main([*command, "--config", str(p), "--out", str(tmp_path / "run")])
+            assert code == 1
+            assert "unknown config keys" in capsys.readouterr().err
 
     def test_every_key_reaches_built_config(self, tmp_path):
         flat_defaults = self.flatten(*build_configs({}))
@@ -237,13 +239,30 @@ class TestTrainEval:
         for name, arr in fresh.params.items():
             assert np.array_equal(ckpt.params[name], arr)
 
-    def test_branch_flags_map_to_variants(self, tmp_path, config_file, data_dir):
-        run = tmp_path / "noglobal"
-        code = main(["train", "--config", config_file, "--no-global",
-                     "--data", str(data_dir / "dataset.bin"), "--out", str(run)])
-        assert code == 0
-        ckpt = load_checkpoint(run / "checkpoint.bin")
-        assert ckpt.train_config.flags.use_global is False
+    def test_branch_flags_map_to_variants(self, tmp_path, config_file):
+        # each flag sets its one key over the config file, and only when it is given
+        cases = [("--no-global", "use_global", False), ("--no-local", "use_local", False),
+                 ("--no-mining", "use_mining", False),
+                 ("--no-mining-mask", "use_mining_mask", False),
+                 ("--no-local-neg-ranking", "use_local_neg_ranking", False),
+                 ("--no-balanced-sample", "balanced_sampling", False),
+                 ("--learnable-boundary", "learnable_boundary", True),
+                 ("--lr=0.25", "learning_rate", 0.25), ("--epochs=0", "epochs", 0),
+                 ("--batch-size=6", "batch_size", 6), ("--seed=4", "seed", 4),
+                 ("--val-every=2", "val_every", 2), ("--val-fraction=0.5", "val_fraction", 0.5)]
+        parser, paths = build_parser(), ["--data", "x.bin", "--out", str(tmp_path / "r")]
+        base = _collect_settings(parser.parse_args(["train", "--config", config_file, *paths]),
+                                 MODEL_KEYS)
+        assert base == parse_config_file(Path(config_file))
+        for flag, key, value in cases:
+            args = parser.parse_args(["train", "--config", config_file, flag, *paths])
+            settings = _collect_settings(args, MODEL_KEYS)
+            assert settings == {**base, key: value}, flag
+            built = TestConfigParsing.flatten(*build_configs(
+                {**settings, "use_mining": False} if key == "use_local" else settings))
+            assert built[key] == value, flag
+        args = parser.parse_args(["gen-data", "--per-identity", "7", "--out", "d"])
+        assert _collect_settings(args, DATA_KEYS) == {"samples_per_identity": 7}
 
     def test_missing_data_exit_2(self, tmp_path, config_file):
         code = main(["train", "--config", config_file, "--data",
@@ -358,6 +377,15 @@ class TestGradcheckCommand:
         assert "PASS" in out and "max relative error" in out
         doc = json.loads((tmp_path / "gc" / "gradcheck.json").read_text())
         assert doc["passed"] is True
+
+    def test_manifest_records_the_toy_data_settings(self, tmp_path):
+        config = tmp_path / "gc.cfg"
+        config.write_text("region_count = 2\nidentities = 3\n")
+        code = main(["gradcheck", "--config", str(config), "--out", str(tmp_path / "gc")])
+        assert code == 0
+        resolved = json.loads((tmp_path / "gc" / "manifest.json").read_text())["resolved_config"]
+        assert resolved["encoder"]["region_count"] == 2
+        assert resolved["generator"] == {"identities": 3}
 
     def test_impossible_tolerance_exit_3(self, tmp_path):
         code = main(["gradcheck", "--tolerance", "1e-18", "--out", str(tmp_path / "gc")])

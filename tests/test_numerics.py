@@ -707,3 +707,69 @@ class TestDebugChecks:
     def test_non_debug_mode_allows(self):
         out = nm.div(Tensor([1.0]), Tensor([0.0]))
         assert np.isinf(out.data[0])
+
+
+def _op_cases():
+    """One call of every op in ``numerics.__all__``; ``t`` wraps each array operand."""
+    rng = np.random.default_rng(21)
+    m, r, p = rng.normal(size=(4, 3)), rng.normal(size=3), np.abs(rng.normal(size=(4, 3))) + 0.1
+    m[1, 2] = 0.0                                     # on the kink of relu
+    mask = rng.random((4, 3)) < 0.6
+    mask[2] = False                                   # an empty slice
+    a, b = rng.normal(size=(8, 3)), rng.normal(size=(5, 3))
+    x, w, hb = rng.normal(size=(4, 2, 3)), rng.normal(size=(2, 5, 3)), rng.normal(size=(2, 5))
+    sq, neg = rng.normal(size=(4, 4)), ~np.eye(4, dtype=bool)
+    return {
+        "add": lambda t: nm.add(t(m), t(r)),
+        "sub": lambda t: nm.sub(t(m), t(r)),
+        "mul": lambda t: nm.mul(t(m), t(r)),
+        "div": lambda t: nm.div(t(m), t(p)),
+        "neg": lambda t: nm.neg(t(m)),
+        "matmul": lambda t: nm.matmul(t(m), t(b.T)),
+        "transpose": lambda t: nm.transpose(t(m)),
+        "reshape": lambda t: nm.reshape(t(m), (3, 4)),
+        "reduce_sum": lambda t: nm.reduce_sum(t(m), axis=1, keepdims=True),
+        "reduce_max": lambda t: nm.reduce_max(t(m), axis=1),
+        "masked_max": lambda t: nm.masked_max(t(m), mask, axis=1, allow_empty=True),
+        "masked_min": lambda t: nm.masked_min(t(m), mask, axis=1, allow_empty=True),
+        "maximum": lambda t: nm.maximum(t(m), 0.1),
+        "minimum": lambda t: nm.minimum(t(m), 0.1),
+        "relu": lambda t: nm.relu(t(m)),
+        "clamp": lambda t: nm.clamp(t(m), -0.5, 0.5),
+        "sqrt": lambda t: nm.sqrt(t(p)),
+        "exp": lambda t: nm.exp(t(m)),
+        "log": lambda t: nm.log(t(p)),
+        "take_rows": lambda t: nm.take_rows(t(m), [2, 0, 2]),
+        "stack": lambda t: nm.stack([t(m), t(p)], axis=1),
+        "l2_normalize": lambda t: nm.l2_normalize(t(m)),
+        "cosine": lambda t: nm.cosine(t(a), t(b)),
+        "max_cosine": lambda t: nm.max_cosine(t(a), t(b), 4),
+        "strip_heads": lambda t: nm.strip_heads(t(x), t(w), t(hb)),
+        "cross_entropy": lambda t: nm.cross_entropy(t(m), [0, 2, 1, 2]),
+        "hardest_negative_hinge": lambda t: nm.hardest_negative_hinge(
+            t(sq), neg, np.arange(4), np.arange(4), 0.2),
+        "dot": lambda t: nm.dot(t(r), t(m[0])),
+        "mean": lambda t: nm.mean(t(m), axis=0),
+        "max_pool_rows": lambda t: nm.max_pool_rows(t(m)),
+        "max_pool_cols": lambda t: nm.max_pool_cols(t(m)),
+        "logsumexp": lambda t: nm.logsumexp(t(m), axis=0),
+    }
+
+
+NOT_OPS = {"NORM_EPS", "Tensor", "GradTape", "backward", "set_debug_checks",
+           "finite_difference_grad"}
+
+
+def test_op_cases_cover_every_op():
+    assert set(_op_cases()) == set(nm.__all__) - NOT_OPS
+
+
+@pytest.mark.parametrize("name", sorted(set(nm.__all__) - NOT_OPS))
+def test_untaped_op_equals_taped_bit_for_bit(name):
+    case = _op_cases()[name]
+    untaped = case(Tensor)
+    tape = GradTape()
+    taped = case(tape.leaf)
+    assert untaped.tape is None and taped.tape is tape
+    assert untaped.shape == taped.shape
+    assert untaped.data.tobytes() == taped.data.tobytes()

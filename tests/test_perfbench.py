@@ -40,6 +40,11 @@ def test_small_traced_train_is_correct():
     run_small("train", "--trace", "1")
 
 
+def test_small_traced_gallery_eval_is_correct():
+    # evaluation runs the traced ops untaped: their wrappers see the untaped path
+    run_small("gallery-eval", "--trace", "1")
+
+
 def test_small_caption_lookup_is_correct():
     # rank_gallery's 1-D int32 rankings against the reference scorer
     run_small("caption-lookup")
