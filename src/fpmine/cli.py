@@ -227,7 +227,7 @@ def cmd_ablate(args) -> int:
                    ["ablation.txt", "ablation.json"], tc.seed)
     tables = ablation_suite(dataset, tc)
     text = tables.format_text()
-    (run_dir / "ablation.txt").write_text(text)
+    write_atomic(run_dir / "ablation.txt", text)
     _write_json(run_dir / "ablation.json", tables.to_json())
     print(text)
     return EXIT_OK

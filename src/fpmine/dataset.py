@@ -42,9 +42,9 @@ class SyntheticDataset:
     hard_negative_fraction: float
     identity_attributes: np.ndarray  # (identity_count, attribute_count), entries +-1
     twin_parent: np.ndarray          # (identity_count,), parent identity or -1
-    detail_count: int = 0            # trailing attributes rendered faintly in images
-    text_noise: float = -1.0         # token noise level; < 0 means same as noise
-    min_hamming: int = 1             # minimum attribute distance between drawn identities
+    detail_count: int                # trailing attributes rendered faintly in images
+    text_noise: float                # token noise level
+    min_hamming: int                 # minimum attribute distance between drawn identities
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -341,9 +341,14 @@ def load_dataset(path) -> SyntheticDataset:
         attrs = r.array("<f8", (n_id, n_attr))
         twin_raw = r.read(n_id * 4)
         twin_parent = np.frombuffer(twin_raw, dtype="<i4").astype(np.int64)
+        if np.any((twin_parent < -1) | (twin_parent >= n_id)):
+            raise DataError(f"twin parent outside [-1, {n_id}) in {path}")
         samples = []
         for _ in range(n_samples):
             ident, length = r.unpack("<IH")
+            if ident >= n_id or length > max_words:
+                raise DataError(f"sample of identity {ident} with {length} tokens does not fit "
+                                f"{n_id} identities and max_words {max_words} in {path}")
             image = r.array("<f8", (k, img_dim))
             text = r.array("<f8", (length, txt_dim))
             samples.append(Sample(int(ident), image, text))

@@ -140,28 +140,20 @@ def init_encoder_params(config: EncoderConfig, rng: np.random.Generator) -> dict
     return params
 
 
-def _param(params: Mapping[str, Tensor | np.ndarray], name: str) -> Tensor:
-    value = params[name]
-    return value if isinstance(value, Tensor) else Tensor(value)
-
-
 def encode_images_batch(raws, params: Mapping[str, Tensor | np.ndarray],
                         config: EncoderConfig) -> ImageEncodings:
     """Encode a stack of raw image grids (N, K, image_raw_dim)."""
     r = raws if isinstance(raws, Tensor) else Tensor(raws)
-    if r.ndim != 3 or r.shape[1] != config.region_count or r.shape[2] != config.image_raw_dim:
-        raise ShapeError(
-            f"expected image raws (N, {config.region_count}, {config.image_raw_dim}), got {r.shape}")
-    n, k = r.shape[0], config.region_count
-    flat = r.reshape((n * k, config.image_raw_dim))
-    feats_flat = nm.matmul(flat, _param(params, "img_embed_w").T) + _param(params, "img_embed_b")
-    region_feats = feats_flat.reshape((n, k, config.feature_dim))
-
-    local_embed = nm.strip_heads(region_feats, _param(params, "img_local_w"),
-                                 _param(params, "img_local_b"))
-
+    k, raw_dim = config.region_count, config.image_raw_dim
+    if r.ndim != 3 or r.shape[1:] != (k, raw_dim):
+        raise ShapeError(f"expected image raws (N, {k}, {raw_dim}), got {r.shape}")
+    n = r.shape[0]
+    flat = r.reshape((n * k, raw_dim))
+    region_feats = nm.linear(flat, params["img_embed_w"], params["img_embed_b"]).reshape(
+        (n, k, config.feature_dim))
+    local_embed = nm.linear(region_feats, params["img_local_w"], params["img_local_b"])
     pooled = region_feats.max(axis=1)
-    global_embed = nm.matmul(pooled, _param(params, "img_global_w").T) + _param(params, "img_global_b")
+    global_embed = nm.linear(pooled, params["img_global_w"], params["img_global_b"])
     return ImageEncodings(region_feats, local_embed, global_embed)
 
 
@@ -179,16 +171,12 @@ def encode_texts_batch(raws, lengths, params: Mapping[str, Tensor | np.ndarray],
         raise InputError("text lengths must satisfy 1 <= length <= max_words and fit the padding")
 
     flat = r.reshape((n * pad_len, config.text_raw_dim))
-    feats_flat = nm.matmul(flat, _param(params, "txt_embed_w").T) + _param(params, "txt_embed_b")
-    word_feats = feats_flat.reshape((n, pad_len, config.feature_dim))
-
+    word_feats = nm.linear(flat, params["txt_embed_w"], params["txt_embed_b"]).reshape(
+        (n, pad_len, config.feature_dim))
     mask = np.arange(pad_len)[None, :] < lengths[:, None]
     pooled = nm.masked_max(word_feats, mask[:, :, None], axis=1)
-
-    local_embed = nm.strip_heads(pooled, _param(params, "txt_local_w"),
-                                 _param(params, "txt_local_b"))
-
-    global_embed = nm.matmul(pooled, _param(params, "txt_global_w").T) + _param(params, "txt_global_b")
+    local_embed = nm.linear(pooled, params["txt_local_w"], params["txt_local_b"])
+    global_embed = nm.linear(pooled, params["txt_global_w"], params["txt_global_b"])
     return TextEncodings(word_feats, local_embed, global_embed, mask, lengths)
 
 

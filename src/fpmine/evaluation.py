@@ -179,22 +179,28 @@ def planted_contradiction_pairs(dataset: SyntheticDataset, indices) -> list[tupl
 
 # ------------------------------------------------------------------ ablations
 
-BRANCH_VARIANTS = ("global", "local", "global+local", "local+mining", "global+local+mining")
-DESIGN_VARIANTS = ("baseline", "no_local_neg_ranking", "no_mining_mask",
-                   "no_balanced_sample", "learnable_boundary", "full")
+_ALL = dict(use_global=True, use_local=True, use_mining=True)  # every branch on
+# Every ablation variant, in table order: name -> (table, flag settings, training
+# settings); ``variant_config`` applies both settings over a base TrainConfig.
+ABLATION_VARIANTS = {
+    "global": ("branches", dict(_ALL, use_local=False, use_mining=False), {}),
+    "local": ("branches", dict(_ALL, use_global=False, use_mining=False), {}),
+    "global+local": ("branches", dict(_ALL, use_mining=False), {}),
+    "local+mining": ("branches", dict(_ALL, use_global=False), {}),
+    "global+local+mining": ("branches", _ALL, {}),
+    "baseline": ("design", dict(_ALL, use_mining=False), {}),
+    "no_local_neg_ranking": ("design", dict(_ALL, use_local_neg_ranking=False), {}),
+    "no_mining_mask": ("design", dict(_ALL, use_mining_mask=False), {}),
+    "no_balanced_sample": ("design", _ALL, {"balanced_sampling": False}),
+    "learnable_boundary": ("design", dict(_ALL, learnable_boundary=True), {}),
+    "full": ("design", _ALL, {}),
+}
 
 
-def _branch_flags(variant: str, base) -> "ModelFlags":
-    from .model import ModelFlags
-
-    table = {
-        "global": dict(use_global=True, use_local=False, use_mining=False),
-        "local": dict(use_global=False, use_local=True, use_mining=False),
-        "global+local": dict(use_global=True, use_local=True, use_mining=False),
-        "local+mining": dict(use_global=False, use_local=True, use_mining=True),
-        "global+local+mining": dict(use_global=True, use_local=True, use_mining=True),
-    }
-    return replace(base, **table[variant])
+def variant_config(base, name: str):
+    """The TrainConfig ``base`` with ablation variant ``name``'s flags and settings."""
+    _table, flags, settings = ABLATION_VARIANTS[name]
+    return replace(base, flags=replace(base.flags, **flags), **settings)
 
 
 @dataclass(frozen=True)
@@ -203,6 +209,10 @@ class AblationRow:
     fusion: str
     r_at: dict[int, float]
 
+    def to_json(self) -> dict:
+        return {"name": self.name, "fusion": self.fusion,
+                "r_at": {str(k): v for k, v in self.r_at.items()}}
+
 
 @dataclass(frozen=True)
 class AblationTables:
@@ -210,14 +220,8 @@ class AblationTables:
     design: list[AblationRow]
 
     def to_json(self) -> dict:
-        return {
-            "branches": [{"name": r.name, "fusion": r.fusion,
-                          "r_at": {str(k): v for k, v in r.r_at.items()}}
-                         for r in self.branches],
-            "design": [{"name": r.name, "fusion": r.fusion,
-                        "r_at": {str(k): v for k, v in r.r_at.items()}}
-                       for r in self.design],
-        }
+        return {"branches": [r.to_json() for r in self.branches],
+                "design": [r.to_json() for r in self.design]}
 
     def format_text(self) -> str:
         lines = []
@@ -236,8 +240,8 @@ def ablation_suite(dataset: SyntheticDataset, base_config) -> AblationTables:
 
     Branch rows toggle similarity branches; design rows toggle the mining
     branch internals (ranking term, mask, balanced sampling, learnable
-    boundary). Rows that coincide (baseline == global+local, full ==
-    global+local+mining) reuse the same trained run.
+    boundary). Each distinct config trains once: rows that coincide
+    (baseline == global+local, full == global+local+mining) share a run.
     """
     from .training import train
 
@@ -245,36 +249,12 @@ def ablation_suite(dataset: SyntheticDataset, base_config) -> AblationTables:
     if val_idx.size == 0:
         raise ConfigError("ablation requires a nonempty validation split")
 
-    cache: dict = {}
-
-    def run(config) -> Model:
-        key = (config.flags, config.balanced_sampling)
-        if key not in cache:
-            cache[key] = train(dataset, config).model
-        return cache[key]
-
-    branches = []
-    for variant in BRANCH_VARIANTS:
-        flags = _branch_flags(variant, base_config.flags)
-        model = run(replace(base_config, flags=flags))
-        result = evaluate_retrieval(model, dataset, val_idx, flags.fusion())
-        branches.append(AblationRow(variant, flags.fusion(), result.r_at))
-
-    design = []
-    full_flags = _branch_flags("global+local+mining", base_config.flags)
-    design_configs = {
-        "baseline": replace(base_config, flags=_branch_flags("global+local", base_config.flags)),
-        "no_local_neg_ranking": replace(
-            base_config, flags=replace(full_flags, use_local_neg_ranking=False)),
-        "no_mining_mask": replace(base_config, flags=replace(full_flags, use_mining_mask=False)),
-        "no_balanced_sample": replace(base_config, flags=full_flags, balanced_sampling=False),
-        "learnable_boundary": replace(
-            base_config, flags=replace(full_flags, learnable_boundary=True)),
-        "full": replace(base_config, flags=full_flags),
-    }
-    for name in DESIGN_VARIANTS:
-        config = design_configs[name]
-        model = run(config)
-        result = evaluate_retrieval(model, dataset, val_idx, config.flags.fusion())
-        design.append(AblationRow(name, config.flags.fusion(), result.r_at))
-    return AblationTables(branches, design)
+    models: dict = {}
+    tables: dict[str, list[AblationRow]] = {"branches": [], "design": []}
+    for name, (table, *_) in ABLATION_VARIANTS.items():
+        config = variant_config(base_config, name)
+        if config not in models:
+            models[config] = train(dataset, config).model
+        result = evaluate_retrieval(models[config], dataset, val_idx, config.flags.fusion())
+        tables[table].append(AblationRow(name, config.flags.fusion(), result.r_at))
+    return AblationTables(**tables)

@@ -137,7 +137,7 @@ def batch_mismatched_word_loss(word_scores, text_mask, pairs_img, pairs_txt,
 
 def mean_identity_loss(embeddings, labels, classifier) -> Tensor:
     """Identity cross-entropy of softmax(embedding @ classifier.T), averaged over rows."""
-    return nm.cross_entropy(nm.matmul(embeddings, nm.transpose(classifier)), labels)
+    return nm.cross_entropy(nm.linear(embeddings, classifier), labels)
 
 
 def batch_ranking_loss(sim, diff, pairs_img, pairs_txt, margin: float) -> Tensor:

@@ -548,28 +548,36 @@ def max_cosine(a, b, groups: int) -> Tensor:
     return _emit(cos.reshape(shape), (a, b), bw)
 
 
-def strip_heads(x, w, b) -> Tensor:
-    """K linear heads in one stacked matmul: out[i, k] = w[k] @ x[i, k] + b[k].
-
-    ``x`` is (n, K, C), one input per strip, or (n, C), shared by every
-    strip; ``w`` is (K, P, C) and ``b`` (K, P); the result is (n, K, P).
-    """
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if (w.ndim != 3 or b.shape != w.shape[:2] or x.ndim not in (2, 3)
-            or x.shape[-1] != w.shape[2] or x.shape[1:-1] not in ((), w.shape[:1])):
-        raise ShapeError(f"strip_heads cannot apply {w.shape} heads to inputs {x.shape}")
+def linear(x, w, b=None) -> Tensor:
+    """Dense layer ``x @ w.T + b``, bias optional. A (P, C) ``w`` maps (n, C) ``x`` to
+    (n, P); a (K, P, C) ``w`` is K heads in one stacked matmul, head k applied to strip k
+    of an (n, K, C) ``x`` or to a shared (n, C) ``x``, giving (n, K, P). ``b`` is ``w``'s
+    shape without its last axis."""
+    x, w, b = _as_tensor(x), _as_tensor(w), None if b is None else _as_tensor(b)
+    if (w.ndim not in (2, 3) or x.ndim not in (2, w.ndim) or x.shape[-1] != w.shape[-1]
+            or x.shape[1:-1] not in ((), w.shape[:-2])
+            or b is not None and b.shape != w.shape[:-1]):
+        raise ShapeError(f"linear cannot apply {w.shape} weights to inputs {x.shape}")
     xd, wd = x.data, w.data
-    xk = xd.transpose(1, 0, 2) if xd.ndim == 3 else xd  # (K, n, C) or shared (n, C)
-    out = np.ascontiguousarray(np.matmul(xk, wd.transpose(0, 2, 1)).transpose(1, 0, 2))
-    out += b.data
+    xk = xd.swapaxes(0, 1) if xd.ndim == 3 else xd  # (K, n, C) per strip, or (n, C)
+    out = np.matmul(xk, wd.swapaxes(-1, -2))
+    if wd.ndim == 3:
+        out = np.ascontiguousarray(out.swapaxes(0, 1))
+    if b is not None:
+        out += b.data
 
     def bw(g):
-        gk = np.asarray(g).transpose(1, 0, 2)  # (K, n, P)
-        gx = (np.matmul(gk, wd).transpose(1, 0, 2) if xd.ndim == 3
-              else np.reshape(g, (xd.shape[0], -1)) @ wd.reshape((-1, xd.shape[1])))
-        return gx, np.matmul(gk.transpose(0, 2, 1), xk), np.sum(g, axis=0)
+        g = np.asarray(g)
+        if wd.ndim == 2:
+            gx, gw = g @ wd, (xd.T @ g).T
+        else:
+            gk = g.swapaxes(0, 1)  # (K, n, P)
+            gx = (np.matmul(gk, wd).swapaxes(0, 1) if xd.ndim == 3
+                  else np.reshape(g, (xd.shape[0], -1)) @ wd.reshape((-1, xd.shape[1])))
+            gw = np.matmul(gk.swapaxes(1, 2), xk)
+        return (gx, gw) if b is None else (gx, gw, np.sum(g, axis=0))
 
-    return _emit(out, (x, w, b), bw)
+    return _emit(out, (x, w) if b is None else (x, w, b), bw)
 
 
 def cross_entropy(logits, labels) -> Tensor:
@@ -703,7 +711,7 @@ __all__ = [
     "maximum", "minimum", "relu", "clamp",
     "sqrt", "exp", "log",
     "take_rows", "stack", "l2_normalize",
-    "cosine", "max_cosine", "strip_heads", "cross_entropy", "hardest_negative_hinge",
+    "cosine", "max_cosine", "linear", "cross_entropy", "hardest_negative_hinge",
     "dot", "mean",
     "max_pool_rows", "max_pool_cols", "logsumexp",
     "finite_difference_grad",

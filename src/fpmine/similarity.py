@@ -88,8 +88,8 @@ def local_scores(img_local: Tensor, txt_local: Tensor) -> Tensor:
 def _projected(region_feats: Tensor, word_feats: Tensor, params: MiningParams):
     """Region (n, K, C) and word (m, L, C) features projected to rows (n*K, M), (m*L, M)."""
     (n, k, c), (m, length) = region_feats.shape, word_feats.shape[:2]
-    return (nm.matmul(region_feats.reshape((n * k, c)), params.region_proj.T),
-            nm.matmul(word_feats.reshape((m * length, c)), params.word_proj.T))
+    return (nm.linear(region_feats.reshape((n * k, c)), params.region_proj),
+            nm.linear(word_feats.reshape((m * length, c)), params.word_proj))
 
 
 def word_scores(region_feats: Tensor, word_feats: Tensor, params: MiningParams) -> Tensor:

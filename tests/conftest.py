@@ -5,14 +5,11 @@ read the same runs, so trained variants are cached per (variant, seed)
 for the whole session.
 """
 
-from dataclasses import replace
-
-import numpy as np
 import pytest
 
 from fpmine.dataset import generate_synthetic_dataset, identity_split
 from fpmine.encoders import EncoderConfig
-from fpmine.model import ModelFlags
+from fpmine.evaluation import variant_config
 from fpmine.training import TrainConfig, train
 
 # benchmark profile for the directional ablations: hard-negative twins at
@@ -34,24 +31,6 @@ ACCEPT_DATA = dict(
 ACCEPT_EPOCHS = 45
 ACCEPT_BATCH = 64
 
-VARIANT_FLAGS = {
-    "global": ModelFlags(use_global=True, use_local=False, use_mining=False),
-    "global+local": ModelFlags(use_global=True, use_local=True, use_mining=False),
-    "full": ModelFlags(),
-    "no_mining_mask": ModelFlags(use_mining_mask=False),
-    "no_local_neg_ranking": ModelFlags(use_local_neg_ranking=False),
-    "learnable_boundary": ModelFlags(learnable_boundary=True),
-}
-VARIANT_FUSION = {
-    "global": "global",
-    "global+local": "global+local",
-    "full": "full",
-    "no_mining_mask": "full",
-    "no_local_neg_ranking": "full",
-    "learnable_boundary": "full",
-}
-
-
 def accept_dataset(seed: int):
     kw = dict(ACCEPT_DATA)
     identities = kw.pop("identity_count")
@@ -60,8 +39,9 @@ def accept_dataset(seed: int):
 
 
 def accept_config(seed: int, variant: str) -> TrainConfig:
-    return TrainConfig(epochs=ACCEPT_EPOCHS, batch_size=ACCEPT_BATCH, seed=seed,
-                       val_fraction=0.1, flags=VARIANT_FLAGS[variant])
+    """The ablation variant ``variant`` (a name of ``ABLATION_VARIANTS``) on the profile."""
+    return variant_config(TrainConfig(epochs=ACCEPT_EPOCHS, batch_size=ACCEPT_BATCH, seed=seed,
+                                      val_fraction=0.1), variant)
 
 
 class TrainedRuns:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ACCEPT_SEEDS, VARIANT_FUSION, accept_config
+from conftest import ACCEPT_SEEDS, accept_config
 from fpmine import numerics as nm
 from fpmine.dataset import twin_pairs
 from fpmine.encoders import EncoderConfig
@@ -203,10 +203,26 @@ def make_strip_heads_path(rng):
     mix = np.linspace(-1.0, 1.0, n * k * p).reshape(n, k, p)
 
     def heads_fn(per_strip, shared, w, b):
-        return nm.add((nm.strip_heads(per_strip, w, b) * mix).sum(),
-                      (nm.strip_heads(shared, w, b) * mix[::-1]).sum())
+        return nm.add((nm.linear(per_strip, w, b) * mix).sum(),
+                      (nm.linear(shared, w, b) * mix[::-1]).sum())
 
     return ("strip heads", heads_inputs, heads_fn)
+
+
+def make_dense_layer_path(rng):
+    """One dense layer, with and without its bias, as the embeddings, projections and
+    identity classifiers use it."""
+    n, c, p = 4, 5, 3
+
+    def dense_inputs():
+        return [rng.normal(size=(n, c)), rng.normal(size=(p, c)), rng.normal(size=p)]
+
+    mix = np.linspace(0.5, 1.5, n * p).reshape(n, p)
+
+    def dense_fn(x, w, b):
+        return nm.add((nm.linear(x, w, b) * mix).sum(), (nm.linear(x, w) * mix[::-1]).sum())
+
+    return ("dense layer", dense_inputs, dense_fn)
 
 
 def make_max_cosine_path(rng):
@@ -238,6 +254,7 @@ def test_criterion_1_gradient_suite(acceptance_record):
     paths.append(make_boundary_path(np.random.default_rng(20240502)))
     paths.append(make_strip_heads_path(np.random.default_rng(20240503)))
     paths.append(make_max_cosine_path(np.random.default_rng(20240504)))
+    paths.append(make_dense_layer_path(np.random.default_rng(20240505)))
     worst = 0.0
     worst_path = ""
     for name, sampler, fn in paths:
@@ -329,7 +346,7 @@ def variant_r1(trained_runs, variant):
     for seed in ACCEPT_SEEDS:
         result = trained_runs.run(variant, seed)
         ds, val_idx = trained_runs.dataset(seed)
-        r = evaluate_retrieval(result.model, ds, val_idx, VARIANT_FUSION[variant])
+        r = evaluate_retrieval(result.model, ds, val_idx, result.model.flags.fusion())
         values.append(r.r_at[1])
     return values
 

@@ -12,7 +12,8 @@ import pytest
 from fpmine.cli import (DATA_KEYS, ENCODER_KEYS, FLAG_KEYS, GEN_KEYS, MODEL_KEYS, TRAIN_KEYS,
                         WEIGHT_KEYS, _collect_settings, build_configs, build_parser, main,
                         parse_config_file)
-from fpmine.training import _CKPT_VERSION, load_checkpoint
+from fpmine.dataset import write_atomic
+from fpmine.training import _CKPT_VERSION, load_checkpoint, train
 
 CONFIG_KEYS = ENCODER_KEYS + TRAIN_KEYS + FLAG_KEYS + WEIGHT_KEYS + GEN_KEYS
 
@@ -364,6 +365,30 @@ class TestTrainEval:
                      "--out", str(tmp_path / "r")])
         assert code == 2
 
+    @pytest.mark.parametrize("lie", ["identity_id", "length", "twin_parent"])
+    def test_dataset_unlike_its_header_exit_2(self, tmp_path, config_file, data_dir, lie):
+        good = data_dir / "dataset.bin"
+        blob = bytearray(good.read_bytes())
+        counts = struct.unpack_from("<12I", blob, 8)
+        n_id, n_attr = counts[0], counts[6]
+        twins = 88 + n_id * n_attr * 8  # after magic, counts, seed, noise levels, attributes
+        if lie == "identity_id":
+            struct.pack_into("<I", blob, twins + 4 * n_id, n_id)  # the first sample's identity
+        elif lie == "length":
+            struct.pack_into("<I", blob, 8 + 4 * 5, 1)  # max_words 1, under every caption
+        else:
+            struct.pack_into("<i", blob, twins, n_id)  # identity 0's twin parent
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(bytes(blob))
+        if lie == "twin_parent":  # eval --report is what reads the twins
+            run = tmp_path / "run"
+            assert main(["train", "--config", config_file, "--epochs", "0",
+                         "--data", str(good), "--out", str(run)]) == 0
+            argv = ["eval", "--checkpoint", str(run / "checkpoint.bin"), "--report"]
+        else:
+            argv = ["train", "--config", config_file]
+        assert main(argv + ["--data", str(bad), "--out", str(tmp_path / "e")]) == 2
+
     def test_usage_error_exit_1(self):
         assert main(["train"]) == 1
         assert main(["eval", "--fusion", "sideways"]) == 1
@@ -407,3 +432,32 @@ class TestAblateCommand:
         design = [r["name"] for r in doc["design"]]
         assert design == ["baseline", "no_local_neg_ranking", "no_mining_mask",
                           "no_balanced_sample", "learnable_boundary", "full"]
+
+    def test_outputs_written_atomically(self, tmp_path, config_file, data_dir, monkeypatch):
+        from fpmine import cli
+
+        written = []
+
+        def recording_write(path, data):
+            written.append(Path(path).name)
+            write_atomic(path, data)
+
+        monkeypatch.setattr(cli, "write_atomic", recording_write)
+        assert main(["ablate", "--config", config_file, "--epochs", "1",
+                     "--data", str(data_dir / "dataset.bin"), "--out", str(tmp_path / "a")]) == 0
+        assert {"manifest.json", "ablation.txt", "ablation.json"} <= set(written)
+
+    def test_each_distinct_config_trains_once(self, tmp_path, config_file, data_dir,
+                                              monkeypatch):
+        from fpmine import training
+
+        configs = []
+
+        def recording_train(dataset, config):
+            configs.append(config)
+            return train(dataset, config)
+
+        monkeypatch.setattr(training, "train", recording_train)
+        assert main(["ablate", "--config", config_file, "--epochs", "1",
+                     "--data", str(data_dir / "dataset.bin"), "--out", str(tmp_path / "a")]) == 0
+        assert len(configs) == len(set(configs)) == 9  # 11 rows: two pairs coincide

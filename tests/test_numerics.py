@@ -234,7 +234,7 @@ class TestUntapedReduceMax:
 
 
 def per_strip_heads(x, w, b):
-    """The per-strip composition strip_heads replaced: one head per strip, then stack."""
+    """The per-strip composition the stacked heads replaced: one head per strip, then stack."""
     k, p, c = w.shape
     heads = []
     for strip in range(k):
@@ -380,7 +380,51 @@ class TestMaxCosine:
                         rng.normal(size=(5, 3))) == 1
 
 
+class TestLinear:
+    """A dense layer: ``linear`` with a (P, C) weight."""
+
+    @staticmethod
+    def arrays(bias):
+        rng = np.random.default_rng(24)
+        x, w, b = rng.normal(size=(5, 4)), rng.normal(size=(3, 4)), rng.normal(size=3)
+        return (x, w, b) if bias else (x, w)
+
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_equals_matmul_chain_bit_for_bit(self, bias):
+        mix = np.random.default_rng(25).normal(size=(5, 3))
+
+        def chain(x, w, b=None):
+            out = nm.matmul(x, nm.transpose(w))
+            return out if b is None else out + b
+
+        arrays = self.arrays(bias)
+        new, old = nm.linear(*map(Tensor, arrays)), chain(*map(Tensor, arrays))
+        assert new.data.tobytes() == old.data.tobytes()
+        for gn, go in zip(grad_of(lambda *t: (nm.linear(*t) * mix).sum(), *arrays),
+                          grad_of(lambda *t: (chain(*t) * mix).sum(), *arrays)):
+            assert gn.tobytes() == go.tobytes()
+
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_gradient(self, bias):
+        mix = np.random.default_rng(26).normal(size=(5, 3))
+        assert_grad_matches(lambda *t: (nm.linear(*t) * mix).sum(), *self.arrays(bias))
+
+    @pytest.mark.parametrize("shapes", [((5, 4), (3, 5), None), ((5, 4), (3, 4), (4,)),
+                                        ((2, 5, 4), (3, 4), None), ((4,), (3, 4), None),
+                                        ((5, 4), (4,), None)])
+    def test_shape_errors(self, shapes):
+        x, w, b = (None if s is None else Tensor(np.ones(s)) for s in shapes)
+        with pytest.raises(ShapeError):
+            nm.linear(x, w, b)
+
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_one_tape_node(self, bias):
+        assert nodes_of(nm.linear, *self.arrays(bias)) == 1
+
+
 class TestStripHeads:
+    """All K strip heads at once: ``linear`` with a (K, P, C) weight."""
+
     @pytest.mark.parametrize("shared", [False, True])
     def test_matches_per_strip_heads(self, shared):
         rng = np.random.default_rng(21)
@@ -388,24 +432,31 @@ class TestStripHeads:
         x = rng.normal(size=(n, c) if shared else (n, k, c))
         w, b = rng.normal(size=(k, p, c)), rng.normal(size=(k, p))
         mix = rng.normal(size=(n, k, p))
-        assert_same_op(lambda *t: (nm.strip_heads(*t) * mix).sum(),
+        assert_same_op(lambda *t: (nm.linear(*t) * mix).sum(),
                        lambda *t: (per_strip_heads(*t) * mix).sum(), x, w, b)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_gradient(self, shared):
+        rng = np.random.default_rng(27)
+        x = rng.normal(size=(3, 4) if shared else (3, 2, 4))
+        w, b, mix = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3)), rng.normal(size=(3, 2, 3))
+        assert_grad_matches(lambda *t: (nm.linear(*t) * mix).sum(), x, w, b)
 
     def test_hand_value(self):
         x = np.array([[[1.0, 2.0], [3.0, 4.0]]])          # one sample, two strips
         w = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])        # strip 0 keeps x0, strip 1 x1
-        out = nm.strip_heads(Tensor(x), Tensor(w), Tensor([[10.0], [20.0]]))
+        out = nm.linear(Tensor(x), Tensor(w), Tensor([[10.0], [20.0]]))
         assert out.data.tolist() == [[[11.0], [24.0]]]
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            nm.strip_heads(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 5, 4))),
-                           Tensor(np.ones((2, 5))))
+            nm.linear(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 5, 4))),
+                      Tensor(np.ones((2, 5))))
 
     def test_one_tape_node(self):
         rng = np.random.default_rng(22)
         arrays = rng.normal(size=(4, 3, 5)), rng.normal(size=(3, 2, 5)), rng.normal(size=(3, 2))
-        assert nodes_of(nm.strip_heads, *arrays) == 1
+        assert nodes_of(nm.linear, *arrays) == 1
 
 
 class TestCrossEntropy:
@@ -710,7 +761,8 @@ class TestDebugChecks:
 
 
 def _op_cases():
-    """One call of every op in ``numerics.__all__``; ``t`` wraps each array operand."""
+    """One call of every op in ``numerics.__all__`` (``linear`` in each of its modes, as
+    ``linear:<mode>``); ``t`` wraps each array operand."""
     rng = np.random.default_rng(21)
     m, r, p = rng.normal(size=(4, 3)), rng.normal(size=3), np.abs(rng.normal(size=(4, 3))) + 0.1
     m[1, 2] = 0.0                                     # on the kink of relu
@@ -744,7 +796,10 @@ def _op_cases():
         "l2_normalize": lambda t: nm.l2_normalize(t(m)),
         "cosine": lambda t: nm.cosine(t(a), t(b)),
         "max_cosine": lambda t: nm.max_cosine(t(a), t(b), 4),
-        "strip_heads": lambda t: nm.strip_heads(t(x), t(w), t(hb)),
+        "linear": lambda t: nm.linear(t(m), t(a), t(a[:, 0])),
+        "linear:no-bias": lambda t: nm.linear(t(m), t(a)),
+        "linear:per-strip": lambda t: nm.linear(t(x), t(w), t(hb)),
+        "linear:shared": lambda t: nm.linear(t(x[:, 0]), t(w), t(hb)),
         "cross_entropy": lambda t: nm.cross_entropy(t(m), [0, 2, 1, 2]),
         "hardest_negative_hinge": lambda t: nm.hardest_negative_hinge(
             t(sq), neg, np.arange(4), np.arange(4), 0.2),
@@ -761,10 +816,10 @@ NOT_OPS = {"NORM_EPS", "Tensor", "GradTape", "backward", "set_debug_checks",
 
 
 def test_op_cases_cover_every_op():
-    assert set(_op_cases()) == set(nm.__all__) - NOT_OPS
+    assert {name.split(":")[0] for name in _op_cases()} == set(nm.__all__) - NOT_OPS
 
 
-@pytest.mark.parametrize("name", sorted(set(nm.__all__) - NOT_OPS))
+@pytest.mark.parametrize("name", sorted(_op_cases()))
 def test_untaped_op_equals_taped_bit_for_bit(name):
     case = _op_cases()[name]
     untaped = case(Tensor)
