@@ -22,7 +22,7 @@ from .similarity import fuse, pair_breakdown
 class RetrievalResult:
     """Per-query rankings plus aggregate Recall@K percentages."""
 
-    rankings: np.ndarray          # (n_queries, n_gallery) int32 gallery indices, best first
+    rankings: np.ndarray          # (n_queries, n_gallery) gallery indices, best first
     r_at: dict[int, float]        # K -> percentage in [0, 100]
     query_count: int
     gallery_count: int
@@ -39,8 +39,10 @@ class RetrievalResult:
 
 
 def rank_rows(scores: np.ndarray) -> np.ndarray:
-    """Descending ranking per row as int32 indices; equal scores keep the lower index first."""
-    return np.argsort(-scores, axis=-1, kind="stable").astype(np.int32)
+    """Descending ranking per row, in the narrowest unsigned type that holds every index
+    (uint8 up to 256 items, uint16 up to 65 536); equal scores keep the lower index first."""
+    return np.argsort(-scores, axis=-1, kind="stable").astype(
+        np.min_scalar_type(scores.shape[-1] - 1))
 
 
 def rank_gallery(model: Model, query: Sample, gallery: list[Sample],

@@ -27,13 +27,13 @@ from .numerics import GradTape, Tensor
 from .sampling import BatchPlan
 from .similarity import FUSIONS, MiningParams  # noqa: F401 (FUSIONS is re-exported)
 
-# Bytes of the float64 (rows, n_txt * pad) word scores of one evaluation block,
-# whose working set is about four such arrays. Chosen on a 600 x 600 evaluation
-# (K = 6, pad 16; 2 cores, numpy 2.4.6 / OpenBLAS), median wall / CPU ms: 422 / 811
-# at 1 MiB, 323 / 626 at 2, 276-335 / 540-582 at 4, 271-319 / 528-605 at 8,
-# 276-294 / 539-553 at 12, 282-301 / 526-578 at 24-31; peak RSS of one evaluation
-# in a fresh process 84 MB at 4 MiB, 99 at 8, 140 at 16, 175 at 24. Each block
-# repeats about 2.5 ms of fixed work (1.3 ms of it the text side's projection).
+# Bytes of the float64 (rows, n_txt * pad) word scores of one evaluation block; the
+# block's workspace is two such arrays. Chosen on a 600 x 600 evaluate_retrieval
+# (K = 6, pad 16; 2 cores, numpy 2.4.6 / OpenBLAS), median wall / CPU ms: 244 / 482
+# at 1 MiB, 205 / 408 at 2, 193 / 383 at 4, 191 / 380 at 8, 188 / 372 at 12,
+# 195 / 390 at 16, 200 / 394 at 24, 201 / 397 at 32 (quartiles about +-10 ms); the
+# traced peak of score_components is 23 MiB plus two budgets (39 MiB at 8). Going
+# from 6 blocks (8 MiB) to 47 (1 MiB) costs about 1.3 ms per added block.
 SCORE_BLOCK_BYTES = 8 * 2 ** 20
 
 
@@ -132,11 +132,7 @@ class Model:
                               bound: Mapping[str, Tensor]
                               ) -> tuple[dict[str, Tensor], Tensor | None]:
         """((n_images, n_texts) matrices of the enabled branches, word scores or None)."""
-        comps: dict[str, Tensor] = {}
-        if self.flags.use_global:
-            comps["global"] = sim.global_scores(images.global_embed, texts.global_embed)
-        if self.flags.use_local:
-            comps["local"] = sim.local_scores(images.local_embed, texts.local_embed)
+        comps = self._cosine_branches(images, texts)
         word_scores = None
         if self.flags.use_mining:
             word_scores = self.word_score_tensor(images, texts, self.mining_params(bound))
@@ -144,6 +140,16 @@ class Model:
                 word_scores, texts.mask, comps["local"],
                 use_mask=self.flags.use_mining_mask, boundary=self.boundary(bound))
         return comps, word_scores
+
+    def _cosine_branches(self, images: ImageEncodings, texts: TextEncodings
+                         ) -> dict[str, Tensor]:
+        """The (n_images, n_texts) global and local matrices of the enabled branches."""
+        comps: dict[str, Tensor] = {}
+        if self.flags.use_global:
+            comps["global"] = sim.global_scores(images.global_embed, texts.global_embed)
+        if self.flags.use_local:
+            comps["local"] = sim.local_scores(images.local_embed, texts.local_embed)
+        return comps
 
     # ------------------------------------------------------------- batch loss
 
@@ -233,28 +239,39 @@ class Model:
 
         Keys: the enabled components among global/local/negative/local_negative.
 
-        Both sides are encoded once; images are then scored in blocks whose
-        (rows, n_txt*pad) word scores fit ``SCORE_BLOCK_BYTES`` (at least one
-        image per block), each block through ``similarity_components`` and
-        into the preallocated outputs.
+        Once per call, both sides are encoded, the global and local cosines taken
+        and the mining projections made. The word scores are then made in blocks
+        of images whose (rows, n_txt*pad) scores fit ``SCORE_BLOCK_BYTES`` (at least
+        one image per block), all in one (2, rows, n_txt*pad) workspace: a block's
+        ``max_cosine`` keeps its maxima and one region's products there, the
+        evidence overwrites the maxima, and its row sums go straight into the
+        outputs. Rows are independent, so the values do not depend on the blocks,
+        except that BLAS takes a lone image's products by gemv, which can round
+        unlike the gemm of a larger block in the last bit.
         """
         bound = self.bind(None)
         images, texts = self._encode(image_samples, text_samples, bound)
-        n = len(image_samples)
-        n_txt, pad = texts.word_feats.shape[:2]
-        rows = max(1, SCORE_BLOCK_BYTES // (n_txt * pad * 8))
-        out: dict[str, np.ndarray] = {}
-        for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
-            take = np.arange(lo, hi)
-            block = images if hi - lo == n else ImageEncodings(
-                nm.take_rows(images.region_feats, take), nm.take_rows(images.local_embed, take),
-                nm.take_rows(images.global_embed, take))
-            comps = self.similarity_components(block, texts, bound)[0]
-            for name, t in comps.items():
-                if name not in out:
-                    out[name] = np.empty((n, n_txt))
-                out[name][lo:hi] = t.data
+        comps = self._cosine_branches(images, texts)
+        out = {name: t.data for name, t in comps.items()}
+        if self.flags.use_mining:
+            n, k = len(image_samples), self.config.region_count
+            n_txt, pad = texts.word_feats.shape[:2]
+            regions, words = sim._projected(images.region_feats, texts.word_feats,
+                                            self.mining_params(bound))
+            rows = max(1, SCORE_BLOCK_BYTES // (n_txt * pad * 8))
+            work = np.empty((2, min(rows, n), n_txt * pad))
+            out["negative"], out["local_negative"] = np.empty((n, n_txt)), np.empty((n, n_txt))
+            for lo in range(0, n, rows):
+                hi = min(lo + rows, n)
+                block = work[:, :hi - lo]
+                scores = nm.max_cosine(nm.take_rows(regions, np.arange(lo * k, hi * k)), words,
+                                       k, out=block)
+                sim.mined_evidence(
+                    scores.reshape((hi - lo, n_txt, pad)), texts.mask,
+                    nm.take_rows(comps["local"], np.arange(lo, hi)),
+                    use_mask=self.flags.use_mining_mask, boundary=self.boundary(bound),
+                    out=(block[0].reshape((hi - lo, n_txt, pad)), out["negative"][lo:hi],
+                         out["local_negative"][lo:hi]))
         for arr in out.values():
             arr.setflags(write=False)
         return out

@@ -256,14 +256,26 @@ def _emit(out: np.ndarray, inputs: Sequence[Tensor], bw) -> Tensor:
     return tape._record(out, inputs, bw)
 
 
-def add(a, b) -> Tensor:
+def _into(out: np.ndarray | None, *inputs: Tensor) -> np.ndarray | None:
+    """A view of the caller's ``out`` buffer for an op to write its value into (the
+    op's Tensor then freezes the view, not the buffer, which the caller may reuse and
+    may also pass as an input). Refused when an input is on a tape, whose backward
+    would read values the caller overwrites."""
+    if out is None:
+        return None
+    if _tape_of(*inputs) is not None:
+        raise ContractError("out= is for untaped evaluation, not for ops on a tape")
+    return out[...]
+
+
+def add(a, b, out=None) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     ash, bsh = a.shape, b.shape
 
     def bw(g):
         return _unbroadcast(g, ash), _unbroadcast(g, bsh)
 
-    return _emit(a.data + b.data, (a, b), bw)
+    return _emit(np.add(a.data, b.data, out=_into(out, a, b)), (a, b), bw)
 
 
 def sub(a, b) -> Tensor:
@@ -276,14 +288,14 @@ def sub(a, b) -> Tensor:
     return _emit(a.data - b.data, (a, b), bw)
 
 
-def mul(a, b) -> Tensor:
+def mul(a, b, out=None) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     ad, bd = a.data, b.data
 
     def bw(g):
         return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
-    return _emit(ad * bd, (a, b), bw)
+    return _emit(np.multiply(ad, bd, out=_into(out, a, b)), (a, b), bw)
 
 
 def div(a, b) -> Tensor:
@@ -329,7 +341,7 @@ def reshape(a, shape) -> Tensor:
     return _emit(np.reshape(a.data, shape), (a,), lambda g: (np.reshape(np.asarray(g), orig),))
 
 
-def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_sum(a, axis=None, keepdims: bool = False, out=None) -> Tensor:
     a = _as_tensor(a)
     shape = a.shape
 
@@ -340,7 +352,8 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
         ge = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(ge, shape),)
 
-    return _emit(np.asarray(np.sum(a.data, axis=axis, keepdims=keepdims)), (a,), bw)
+    return _emit(np.asarray(np.sum(a.data, axis=axis, keepdims=keepdims, out=_into(out, a))),
+                 (a,), bw)
 
 
 def _max_along(a: Tensor, work: np.ndarray, axis: int, keepdims: bool,
@@ -401,10 +414,10 @@ def maximum(a, threshold: float) -> Tensor:
                  lambda g: (np.asarray(g) * (a.data > threshold),))
 
 
-def minimum(a, threshold: float) -> Tensor:
+def minimum(a, threshold: float, out=None) -> Tensor:
     """Elementwise min against a constant; subgradient 0 exactly at the kink."""
     a = _as_tensor(a)
-    return _emit(np.minimum(a.data, threshold), (a,),
+    return _emit(np.minimum(a.data, threshold, out=_into(out, a)), (a,),
                  lambda g: (np.asarray(g) * (a.data < threshold),))
 
 
@@ -479,21 +492,25 @@ def l2_normalize(a, axis: int = -1, eps: float = NORM_EPS) -> Tensor:
     return _emit(out, (a,), bw)
 
 
-def _cosine_forward(a2, b2, groups: int, win: np.ndarray | None):
+def _cosine_forward(a2, b2, groups: int, win: np.ndarray | None, work: np.ndarray | None):
     """Clamped cosines of the row pairs of (n * groups, d) ``a2`` and (m, d) ``b2``,
     maxed over each run of ``groups`` rows of ``a2``: ((n, m), norms). Computed as
     dot / |a_i| / |b_j| (normalized rows can miss 1.0 for identical rows), norms
     floored at NORM_EPS so zero rows yield 0. Dividing by |b_j| > 0 and clipping
     are monotone under rounding, so they commute with the max and run on the reduced
     array: the products are taken one group member at a time. An (n, m) ``win``
-    receives the lowest-index member attaining each max of dot / |a_i|."""
+    receives the lowest-index member attaining each max of dot / |a_i|. A (2, n, m)
+    ``work`` holds the maxima in ``work[0]`` and one member's products in ``work[1]``;
+    without it both are allocated."""
     na = np.sqrt(np.sum(a2 * a2, axis=1))
     nb = np.sqrt(np.sum(b2 * b2, axis=1))
     da, db = np.maximum(na, NORM_EPS), np.maximum(nb, NORM_EPS)
     a3, da2 = a2.reshape((-1, groups, a2.shape[1])), da.reshape((-1, groups))
-    out = a3[:, 0] @ b2.T
+    out, t = (None, None) if work is None else work
+    out = np.matmul(a3[:, 0], b2.T, out=out)
     out /= da2[:, :1]
-    t = np.empty_like(out) if groups > 1 else None
+    if t is None and groups > 1:
+        t = np.empty_like(out)
     for k in range(1, groups):
         np.matmul(a3[:, k], b2.T, out=t)
         t /= da2[:, k:k + 1]
@@ -512,23 +529,25 @@ def cosine(a, b) -> Tensor:
     return max_cosine(a, b, 1)
 
 
-def max_cosine(a, b, groups: int) -> Tensor:
+def max_cosine(a, b, groups: int, out=None) -> Tensor:
     """(n, m) max over each run of ``groups`` consecutive rows of (n * groups, d) ``a``
     of their clamped cosines with the rows of (m, d) ``b`` (MaxSim), as in
     ``_cosine_forward``, with or without a tape. A tape keeps the winning member
     of each max, not the cosines; backward routes each max to the lowest-index
     maximizer, passes nothing through a clamped |cos| = 1 (the true gradient for
-    parallel vectors) and drops a floored norm's own term."""
+    parallel vectors) and drops a floored norm's own term. Untaped, a (2, n, m)
+    ``out`` is the workspace of ``_cosine_forward``: the result is ``out[0]``."""
     a, b = _as_tensor(a), _as_tensor(b)
     if (a.ndim != b.ndim or a.ndim not in (1, 2) or not 1 <= a.shape[-1] == b.shape[-1]
             or groups < 1 or a.size // a.shape[-1] % groups):
         raise ShapeError(f"cannot take cosines of {a.shape} rows, in groups of {groups}, "
                          f"with {b.shape} rows")
     a2, b2 = a.data.reshape((-1, a.shape[-1])), b.data.reshape((-1, b.shape[-1]))
-    shape = (len(a2) // groups, len(b2)) if a.ndim == 2 else ()
-    win = None if _tape_of(a, b) is None else np.zeros(
-        (len(a2) // groups, len(b2)), np.min_scalar_type(groups - 1))
-    cos, (na, da, nb, db) = _cosine_forward(a2, b2, groups, win)
+    rows = (len(a2) // groups, len(b2))
+    if out is not None and out.shape != (2,) + rows:
+        raise ShapeError(f"max_cosine needs a {(2,) + rows} out, got {out.shape}")
+    win = None if _tape_of(a, b) is None else np.zeros(rows, np.min_scalar_type(groups - 1))
+    cos, (na, da, nb, db) = _cosine_forward(a2, b2, groups, win, _into(out, a, b))
 
     def bw(g):
         g = np.reshape(g, cos.shape)
@@ -545,7 +564,7 @@ def max_cosine(a, b, groups: int) -> Tensor:
         gb = gb.T / db[:, None] - (np.einsum("ij,ij->j", g, cos) * cb)[:, None] * b2
         return ga.reshape(a.shape), gb.reshape(b.shape)
 
-    return _emit(cos.reshape(shape), (a, b), bw)
+    return _emit(cos.reshape(rows if a.ndim == 2 else ()), (a, b), bw)
 
 
 def linear(x, w, b=None) -> Tensor:

@@ -101,7 +101,7 @@ def word_scores(region_feats: Tensor, word_feats: Tensor, params: MiningParams) 
         (n, m, length))
 
 
-def mining_mask(score, boundary=0.0) -> Tensor:
+def mining_mask(score, boundary=0.0, out=None) -> Tensor:
     """Zero out scores above the decision boundary, pass the rest unchanged.
 
     With the default boundary 0 this is exactly min(s, 0): positive scores
@@ -116,27 +116,30 @@ def mining_mask(score, boundary=0.0) -> Tensor:
     scoring in [0, tau) passes its positive score and adds less than tau.
     The hinges keep tau at zero to within a few optimizer steps: their push
     on tau points down above zero and up below it (see ``losses``).
+    Untaped, the result may be written into ``out``, which may be the score's buffer.
     """
     s = _as_tensor(score)
     if isinstance(boundary, Tensor):
-        keep = (s.data < boundary.data).astype(np.float64)
-        return nm.mul(s, keep)
+        return nm.mul(s, s.data < boundary.data, out=out)
     if boundary != 0.0:
-        return nm.mul(s, (s.data < boundary).astype(np.float64))
-    return nm.minimum(s, 0.0)
+        return nm.mul(s, s.data < boundary, out=out)
+    return nm.minimum(s, 0.0, out=out)
 
 
 def mined_evidence(word_scores: Tensor, text_mask, local, *, use_mask: bool = True,
-                   boundary=0.0) -> tuple[Tensor, Tensor, Tensor]:
+                   boundary=0.0, out=None) -> tuple[Tensor, Tensor, Tensor]:
     """(evidence per word (n, m, L), negative (n, m), local + negative (n, m)).
 
     ``text_mask`` (m, L) is True at valid words; padding contributes 0.
     With ``use_mask`` off (ablation) the raw scores are the evidence.
+    Untaped evaluation may pass ``out``, buffers for the three results; the
+    evidence's may be the word scores' own, which it then overwrites.
     """
-    contrib = mining_mask(word_scores, boundary) if use_mask else word_scores
-    evidence = nm.mul(contrib, np.asarray(text_mask, dtype=np.float64)[None, :, :])
-    negative = evidence.sum(axis=2)
-    return evidence, negative, nm.add(local, negative)
+    ev, neg, local_neg = (None,) * 3 if out is None else out
+    contrib = mining_mask(word_scores, boundary, out=ev) if use_mask else word_scores
+    evidence = nm.mul(contrib, np.asarray(text_mask, dtype=np.float64)[None, :, :], out=ev)
+    negative = nm.reduce_sum(evidence, axis=2, out=neg)
+    return evidence, negative, nm.add(local, negative, out=local_neg)
 
 
 def fuse(comps: Mapping[str, Tensor | np.ndarray], fusion: str) -> Tensor:

@@ -47,24 +47,38 @@ class TestRankRows:
             out = rank_rows(scores)
             assert sorted(out.tolist()) == list(range(12))
 
-    def test_int32_equal_to_int64_argsort(self):
+    def test_narrow_equal_to_int64_argsort(self):
         rng = np.random.default_rng(1)
         scores = rng.choice([0.0, 0.25, 0.5, 1.0], size=(7, 40))
         out = rank_rows(scores)
-        assert out.dtype == np.int32
+        assert out.dtype == np.min_scalar_type(40 - 1) == np.uint8
         want = np.argsort(-scores, axis=-1, kind="stable")
         assert want.dtype == np.int64
         assert np.array_equal(out, want)
 
-    def test_result_json_unchanged_by_int32(self):
+    def test_uint16_past_256_items(self):
+        # a gallery of 300: indices up to 299 need uint16; rankings and R@K as int64's
+        rng = np.random.default_rng(2)
+        scores = rng.choice([0.0, 0.25, 0.5, 1.0], size=(12, 300))
+        gids, qids = rng.integers(0, 40, size=300), rng.integers(0, 40, size=12)
+        out = rank_rows(scores)
+        assert out.dtype == np.uint16
+        want = np.argsort(-scores, axis=-1, kind="stable")
+        assert np.array_equal(out, want)
+        for k in (1, 5, 10, 300):
+            got = recall_at_k(out, qids, gids, k)
+            assert got == recall_at_k(want, qids, gids, k)
+            assert got == brute_force_recall(scores, qids, gids, k)
+
+    def test_result_json_unchanged_by_narrow_rankings(self):
         ds = toy_dataset()
         result = evaluate_retrieval(Model(CFG, seed=0), ds, np.arange(9), "full")
-        assert result.rankings.dtype == np.int32
+        assert result.rankings.dtype == np.min_scalar_type(9 - 1)
         wide = result.to_json()["rankings"]
         assert wide == result.rankings.astype(np.int64).tolist()
         assert all(type(i) is int for row in wide for i in row)
         gallery = rank_gallery(Model(CFG, seed=0), ds.samples[0], ds.samples[:9], "full")
-        assert gallery.dtype == np.int32 and gallery.shape == (9,)
+        assert gallery.dtype == np.min_scalar_type(9 - 1) and gallery.shape == (9,)
 
 
 class TestRankGallery:

@@ -393,7 +393,7 @@ class TestBlockedScoring:
 
     def setup_method(self):
         self.ds = toy_dataset(identities=5, per_id=3)
-        self.images = [self.ds.samples[i] for i in (0, 2, 3, 5, 6, 8, 9, 11, 12, 14)]
+        self.images = [self.ds.samples[i] for i in (0, 2, 3, 5, 6, 8, 9, 11, 12, 14, 13)]
         self.texts = [self.ds.samples[i] for i in (1, 4, 7, 10, 13, 3, 0)]
 
     def score(self, model, monkeypatch, budget):
@@ -403,7 +403,7 @@ class TestBlockedScoring:
 
     @pytest.mark.parametrize("flags", [ModelFlags(), ModelFlags(use_mining=False),
                                        ModelFlags(learnable_boundary=True)])
-    @pytest.mark.parametrize("rows", [3, 1])  # 3+3+3+1 images (ragged), or one per block
+    @pytest.mark.parametrize("rows", [3, 1])  # 3+3+3+2 images (ragged), or one per block
     def test_blocks_match_one_block(self, monkeypatch, flags, rows):
         model = Model(CFG, flags, seed=3)
         if flags.learnable_boundary:
@@ -415,13 +415,47 @@ class TestBlockedScoring:
         for name, arr in blocked.items():
             assert arr.shape == whole[name].shape, name
             assert not arr.flags.writeable, name
-            np.testing.assert_allclose(arr, whole[name], rtol=0, atol=1e-12, err_msg=name)
-        np.testing.assert_allclose(fused, whole_fused, rtol=0, atol=1e-12)
+            if rows > 1 or name in ("global", "local"):  # these two are taken once per call
+                assert np.array_equal(arr, whole[name]), name
+            else:  # BLAS takes a lone image's products by gemv, which rounds unlike gemm
+                np.testing.assert_allclose(arr, whole[name], rtol=0, atol=1e-12, err_msg=name)
+        if rows > 1:
+            assert np.array_equal(fused, whole_fused)
         assert np.array_equal(rank_rows(fused.T), rank_rows(whole_fused.T))
+
+    @pytest.mark.parametrize("flags,tau", [
+        (ModelFlags(), None), (ModelFlags(use_mining_mask=False), None),
+        (ModelFlags(learnable_boundary=True), 0.1), (ModelFlags(learnable_boundary=True), -0.05),
+        (ModelFlags(use_mining=False), None)], ids=["full", "no_mask", "tau+", "tau-", "no_mining"])
+    def test_equals_untaped_similarity_components(self, monkeypatch, flags, tau):
+        # blocked scoring in the workspace, bit for bit the whole split's untaped forward
+        model = Model(CFG, flags, seed=3)
+        if tau is not None:
+            model.params["boundary_tau"] = np.array(tau)
+        blocked, _ = self.score(model, monkeypatch, 3 * self.row_bytes(self.texts))
+        bound = model.bind(None)
+        want, _ = model.similarity_components(*model._encode(self.images, self.texts, bound),
+                                              bound)
+        assert blocked.keys() == want.keys()
+        for name, t in want.items():
+            assert np.array_equal(blocked[name], t.data), name
+
+    def test_ragged_block_sees_no_stale_workspace(self, monkeypatch):
+        # NaN in every fresh buffer (workspace and outputs): the two-image last block
+        # reads none of what the full blocks left in the workspace
+        model = Model(CFG, seed=3)
+        whole, _ = self.score(model, monkeypatch, 1 << 40)
+        full = np.full
+        monkeypatch.setattr(np, "empty", lambda shape, *args, **kwargs: full(shape, np.nan))
+        monkeypatch.setattr(model_module, "SCORE_BLOCK_BYTES", 3 * self.row_bytes(self.texts))
+        blocked = model.score_components(self.images, self.texts)  # 3+3+3+2 images
+        monkeypatch.undo()
+        for name, arr in blocked.items():
+            assert np.array_equal(arr, whole[name]), name
 
     def test_pair_in_last_block_matches_pair_breakdown(self, monkeypatch):
         model = Model(CFG, seed=3)
-        comps, _ = self.score(model, monkeypatch, 3 * self.row_bytes(self.texts))
+        comps, _ = self.score(model, monkeypatch, 2 * self.row_bytes(self.texts))
         bound = model.bind(None)
         i, j = len(self.images) - 1, 2  # the one-image block
         b = pair_breakdown(encode_image(self.images[i].image_raw, bound, CFG),
@@ -439,8 +473,10 @@ class TestBlockedScoring:
 
     def test_peak_allocation_is_outputs_plus_blocks(self, monkeypatch):
         # 160 x 160 pairs: the whole (n, n * pad) word-score array is 1.6 MB, twice
-        # the outputs. A block holds about four arrays the size of its word scores
-        # (the running region max, one region's products, two evidence temporaries).
+        # the outputs. A block's working set is the two workspace arrays the size of
+        # its word scores (the running region max, where the evidence is then made in
+        # place, and one region's products), plus its (rows, n) local rows, 1/pad of
+        # one such array, and its projected regions: a slack of a quarter of the budget.
         import tracemalloc
 
         ds = toy_dataset(identities=10, per_id=16)
@@ -457,4 +493,4 @@ class TestBlockedScoring:
                 tracemalloc.stop()
         outputs = sum(arr.nbytes for arr in comps.values())
         assert peaks[small] < outputs + self.row_bytes(ds.samples) * len(ds.samples) / 2
-        assert peaks[large] - peaks[small] <= 4 * (large - small)
+        assert peaks[large] - peaks[small] <= (2 + 1 / 4) * (large - small)

@@ -828,3 +828,44 @@ def test_untaped_op_equals_taped_bit_for_bit(name):
     assert untaped.tape is None and taped.tape is tape
     assert untaped.shape == taped.shape
     assert untaped.data.tobytes() == taped.data.tobytes()
+
+
+def _out_cases():
+    """The ops that can write into a caller's buffer: name -> (call with ``out``, the
+    shape of ``out``); ``t`` wraps each array operand."""
+    rng = np.random.default_rng(22)
+    m, r = rng.normal(size=(4, 3)), rng.normal(size=3)
+    a, b = rng.normal(size=(8, 3)), rng.normal(size=(5, 3))
+    return {
+        "add": (lambda t, out: nm.add(t(m), t(r), out=out), (4, 3)),
+        "mul": (lambda t, out: nm.mul(t(m), t(r), out=out), (4, 3)),
+        "minimum": (lambda t, out: nm.minimum(t(m), 0.1, out=out), (4, 3)),
+        "reduce_sum": (lambda t, out: nm.reduce_sum(t(m), axis=1, out=out), (4,)),
+        "max_cosine": (lambda t, out: nm.max_cosine(t(a), t(b), 4, out=out), (2, 2, 5)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_out_cases()))
+def test_out_equals_fresh_value_bit_for_bit(name):
+    case, shape = _out_cases()[name]
+    out = np.full(shape, np.nan)  # nothing already in the buffer may leak into the value
+    got = case(Tensor, out)
+    assert got.data.tobytes() == case(Tensor, None).data.tobytes()
+    # the value lives in the buffer, read-only through the Tensor and reusable by its owner
+    assert np.shares_memory(got.data, out)
+    assert out.flags.writeable and not got.data.flags.writeable
+
+
+@pytest.mark.parametrize("name", sorted(_out_cases()))
+def test_out_refused_on_a_tape(name):
+    case, shape = _out_cases()[name]
+    out = np.zeros(shape)
+    with pytest.raises(ContractError):
+        case(GradTape().leaf, out)
+    assert not out.any()  # refused before anything was written
+
+
+def test_max_cosine_out_shape_checked():
+    with pytest.raises(ShapeError):
+        nm.max_cosine(Tensor(np.ones((8, 3))), Tensor(np.ones((5, 3))), 4,
+                      out=np.empty((2, 5, 2)))

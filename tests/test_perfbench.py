@@ -46,5 +46,5 @@ def test_small_traced_gallery_eval_is_correct():
 
 
 def test_small_caption_lookup_is_correct():
-    # rank_gallery's 1-D int32 rankings against the reference scorer
+    # rank_gallery's 1-D rankings against the reference scorer
     run_small("caption-lookup")
