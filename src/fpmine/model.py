@@ -126,7 +126,8 @@ class Model:
                           mining: MiningParams) -> Tensor:
         """(n_images, n_texts, pad_len) max-over-regions word scores; padded
         positions hold junk and must be masked by ``texts.mask``."""
-        return sim.word_scores(images.region_feats, texts.word_feats, mining)
+        return sim.word_scores(*sim.projected(images.region_feats, texts.word_feats, mining),
+                               images.region_feats.shape[1], texts.word_feats.shape[1])
 
     def similarity_components(self, images: ImageEncodings, texts: TextEncodings,
                               bound: Mapping[str, Tensor]
@@ -136,10 +137,17 @@ class Model:
         word_scores = None
         if self.flags.use_mining:
             word_scores = self.word_score_tensor(images, texts, self.mining_params(bound))
-            _, comps["negative"], comps["local_negative"] = sim.mined_evidence(
-                word_scores, texts.mask, comps["local"],
-                use_mask=self.flags.use_mining_mask, boundary=self.boundary(bound))
+            _, comps["negative"], comps["local_negative"] = self._evidence(
+                word_scores, texts, comps["local"], bound)
         return comps, word_scores
+
+    def _evidence(self, word_scores: Tensor, texts: TextEncodings, local: Tensor,
+                  bound: Mapping[str, Tensor], out=None) -> tuple[Tensor, Tensor, Tensor]:
+        """``sim.mined_evidence`` of (n_images, n_texts, pad_len) word scores under the
+        model's mask and boundary; ``out`` as there."""
+        return sim.mined_evidence(word_scores, texts.mask, local,
+                                  use_mask=self.flags.use_mining_mask,
+                                  boundary=self.boundary(bound), out=out)
 
     def _cosine_branches(self, images: ImageEncodings, texts: TextEncodings
                          ) -> dict[str, Tensor]:
@@ -256,22 +264,19 @@ class Model:
         if self.flags.use_mining:
             n, k = len(image_samples), self.config.region_count
             n_txt, pad = texts.word_feats.shape[:2]
-            regions, words = sim._projected(images.region_feats, texts.word_feats,
-                                            self.mining_params(bound))
+            regions, words = sim.projected(images.region_feats, texts.word_feats,
+                                           self.mining_params(bound))
             rows = max(1, SCORE_BLOCK_BYTES // (n_txt * pad * 8))
             work = np.empty((2, min(rows, n), n_txt * pad))
             out["negative"], out["local_negative"] = np.empty((n, n_txt)), np.empty((n, n_txt))
             for lo in range(0, n, rows):
                 hi = min(lo + rows, n)
                 block = work[:, :hi - lo]
-                scores = nm.max_cosine(nm.take_rows(regions, np.arange(lo * k, hi * k)), words,
-                                       k, out=block)
-                sim.mined_evidence(
-                    scores.reshape((hi - lo, n_txt, pad)), texts.mask,
-                    nm.take_rows(comps["local"], np.arange(lo, hi)),
-                    use_mask=self.flags.use_mining_mask, boundary=self.boundary(bound),
-                    out=(block[0].reshape((hi - lo, n_txt, pad)), out["negative"][lo:hi],
-                         out["local_negative"][lo:hi]))
+                scores = sim.word_scores(nm.take_rows(regions, np.arange(lo * k, hi * k)),
+                                         words, k, pad, out=block)
+                self._evidence(scores, texts, nm.take_rows(comps["local"], np.arange(lo, hi)),
+                               bound, out=(block[0].reshape(scores.shape), out["negative"][lo:hi],
+                                           out["local_negative"][lo:hi]))
         for arr in out.values():
             arr.setflags(write=False)
         return out

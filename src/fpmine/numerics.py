@@ -40,7 +40,10 @@ def _check_finite(arr: np.ndarray, where: str) -> None:
 
 
 class Tensor:
-    """Immutable float64 array, optionally recorded on a GradTape."""
+    """Read-only float64 array, optionally recorded on a GradTape.
+
+    Immutable, except the value of an untaped op given ``out=``: that Tensor is a
+    read-only view of the caller's buffer and changes when the caller rewrites it."""
 
     __slots__ = ("data", "tape", "tid")
 

@@ -85,20 +85,20 @@ def local_scores(img_local: Tensor, txt_local: Tensor) -> Tensor:
                      txt_local.reshape((txt_local.shape[0], -1)))
 
 
-def _projected(region_feats: Tensor, word_feats: Tensor, params: MiningParams):
+def projected(region_feats: Tensor, word_feats: Tensor, params: MiningParams):
     """Region (n, K, C) and word (m, L, C) features projected to rows (n*K, M), (m*L, M)."""
     (n, k, c), (m, length) = region_feats.shape, word_feats.shape[:2]
     return (nm.linear(region_feats.reshape((n * k, c)), params.region_proj),
             nm.linear(word_feats.reshape((m * length, c)), params.word_proj))
 
 
-def word_scores(region_feats: Tensor, word_feats: Tensor, params: MiningParams) -> Tensor:
-    """(n, m, L) max over regions of the cosines of projected region (n, K, C) and word
-    (m, L, C) features, as one ``nm.max_cosine``; ties route to the first region.
-    Padded word positions hold junk that callers mask."""
-    (n, k), (m, length) = region_feats.shape[:2], word_feats.shape[:2]
-    return nm.max_cosine(*_projected(region_feats, word_feats, params), k).reshape(
-        (n, m, length))
+def word_scores(regions: Tensor, words: Tensor, k: int, length: int, out=None) -> Tensor:
+    """(n, m, L) max over each image's K projected region rows (n*K, M) of their cosines
+    with the projected word rows (m*L, M), as one ``nm.max_cosine``; ties route to the
+    first region. Padded word positions hold junk that callers mask. Untaped, a
+    (2, n, m*L) ``out`` is ``max_cosine``'s workspace."""
+    n, m = regions.shape[0] // k, words.shape[0] // length
+    return nm.max_cosine(regions, words, k, out=out).reshape((n, m, length))
 
 
 def mining_mask(score, boundary=0.0, out=None) -> Tensor:
@@ -183,8 +183,8 @@ def word_region_scores(region_feats, word_feats, params: MiningParams) -> Tensor
     v, e = _as_tensor(region_feats), _as_tensor(word_feats)
     if v.ndim != 2 or e.ndim != 2:
         raise ShapeError("word_region_scores expects 2-D feature matrices")
-    return nm.cosine(*_projected(v.reshape((1,) + v.shape), e.T.reshape((1,) + e.T.shape),
-                                 params))
+    return nm.cosine(*projected(v.reshape((1,) + v.shape), e.T.reshape((1,) + e.T.shape),
+                                params))
 
 
 def word_max_scores(scores) -> Tensor:

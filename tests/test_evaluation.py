@@ -246,13 +246,13 @@ class TestNegativeEvidenceReport:
         import fpmine.similarity as similarity
 
         calls = []
-        kernel = similarity._projected
+        kernel = similarity.projected
 
         def counted(*args, **kwargs):
             calls.append(1)
             return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(similarity, "_projected", counted)
+        monkeypatch.setattr(similarity, "projected", counted)
         ds = toy_dataset()
         doc = negative_evidence_report(Model(CFG, seed=0), ds.samples[0], ds.samples[4])
         assert len(calls) == 1

@@ -421,6 +421,8 @@ class TestBlockedScoring:
                 np.testing.assert_allclose(arr, whole[name], rtol=0, atol=1e-12, err_msg=name)
         if rows > 1:
             assert np.array_equal(fused, whole_fused)
+        else:
+            np.testing.assert_allclose(fused, whole_fused, rtol=0, atol=1e-12)
         assert np.array_equal(rank_rows(fused.T), rank_rows(whole_fused.T))
 
     @pytest.mark.parametrize("flags,tau", [
