@@ -15,8 +15,8 @@ from .errors import (ConfigError, ContractError, DataError, FpmineError, InputEr
 from .evaluation import (RetrievalResult, ablation_suite, evaluate_retrieval,
                          mining_activity, negative_evidence_report, rank_gallery,
                          recall_at_k)
-from .losses import (LossReport, LossWeights, combined_ranking, identity_loss,
-                     matched_word_loss, mismatched_word_loss, ranking_loss, total_loss)
+from .losses import (LossReport, LossWeights, identity_loss, matched_word_loss,
+                     mismatched_word_loss, ranking_loss, total_loss)
 from .model import FUSIONS, Model, ModelFlags, init_params
 from .numerics import (GradTape, Tensor, backward, cosine, finite_difference_grad,
                        max_pool_cols, max_pool_rows)
@@ -45,7 +45,7 @@ __all__ = [
     "overall_similarity", "pair_breakdown",
     # losses
     "LossWeights", "LossReport", "matched_word_loss", "mismatched_word_loss",
-    "identity_loss", "ranking_loss", "combined_ranking", "total_loss",
+    "identity_loss", "ranking_loss", "total_loss",
     # sampling / model / training
     "BatchPlan", "balanced_batches", "Model", "ModelFlags", "FUSIONS", "init_params",
     "TrainConfig", "AdamState", "adam_step", "train", "Checkpoint", "save_checkpoint",

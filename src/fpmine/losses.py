@@ -1,21 +1,20 @@
 """Training objectives: word-score hinges, identity loss, ranking loss.
 
 The two word-score hinges open a gap around the decision boundary:
-matched pairs pay ``max(-slope*s + bias, 0)`` per word until every word
-score clears +bias/slope, while mismatched pairs pay
-``max(slope*s_min + bias, 0)`` until their weakest word drops below
--bias/slope. With the default weights the zero-loss regions are
-s >= 0.001 and s_min <= -0.15, so no score distribution can satisfy both
-inside the open band in between.
+matched pairs pay ``max(bias - s, 0)`` per word until every word score
+clears +bias, while mismatched pairs pay ``max(s_min + bias, 0)`` until
+their weakest word drops below -bias. With the default biases the
+zero-loss regions are s >= 0.001 and s_min <= -0.15, so no score
+distribution can satisfy both inside the open band in between.
 
 With a learnable decision boundary tau the hinges follow the mining mask,
 which selects the words scoring below tau but passes their raw scores as
 evidence: selection is measured from tau, evidence from zero. The matched
-hinge asks every word to stay unselected, s >= tau + bias/slope; an
+hinge asks every word to stay unselected, s >= tau + bias; an
 unselected word contributes nothing, so its value does not matter. The
-mismatched hinge asks the weakest word for evidence of at most
--bias/slope, which takes selection (below tau) and value (below zero), so
-it targets min(tau, 0) - bias/slope.
+mismatched hinge asks the weakest word for evidence of at most -bias,
+which takes selection (below tau) and value (below zero), so it targets
+min(tau, 0) - bias.
 
 This is what keeps tau near zero. Above zero, raising tau no longer relaxes
 the mismatched hinge, so the only tau-dependent term is the matched hinge,
@@ -45,19 +44,14 @@ from .numerics import Tensor, _as_tensor
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Slopes, biases, margins, and mixing weights for every objective."""
+    """Hinge biases, the ranking margin, and the weights of the local terms."""
 
-    matched_slope: float = 1.0        # slope of the matched-word hinge
-    matched_bias: float = 0.001       # its bias: zero loss iff s >= bias/slope
-    mismatched_slope: float = 1.0     # slope of the mismatched-word hinge
-    mismatched_bias: float = 0.15     # its bias: zero loss iff s_min <= -bias/slope
+    matched_bias: float = 0.001       # matched-word hinge: zero loss iff s >= bias
+    mismatched_bias: float = 0.15     # mismatched-word hinge: zero loss iff s_min <= -bias
     identity_local_weight: float = 0.5    # local identity terms vs global ones
     ranking_margin: float = 0.2
     ranking_local_weight: float = 0.5     # local ranking term
     ranking_localneg_weight: float = 0.25  # negative-adjusted local ranking term
-    w_word: float = 1.0               # top-level weight of the two hinges
-    w_identity: float = 1.0
-    w_ranking: float = 1.0
 
     def __post_init__(self):
         for f in fields(self):
@@ -93,7 +87,7 @@ def _pair_rows(word_scores: Tensor, text_mask, pairs_img, pairs_txt):
 
 def batch_matched_word_loss(word_scores, text_mask, pairs_img, pairs_txt,
                             weights: LossWeights, boundary=0.0) -> Tensor:
-    """Mean over pairs of the mean of max(-slope*(s_i - boundary) + bias, 0) over words.
+    """Mean over pairs of the mean of max(bias - (s_i - boundary), 0) over words.
 
     ``word_scores`` is (n_img, n_txt, L) and ``text_mask`` (n_txt, L); pair
     p is cell (pairs_img[p], pairs_txt[p]).
@@ -101,7 +95,7 @@ def batch_matched_word_loss(word_scores, text_mask, pairs_img, pairs_txt,
     rows, valid = _pair_rows(word_scores, text_mask, pairs_img, pairs_txt)
     if isinstance(boundary, Tensor) or boundary != 0.0:
         rows = nm.sub(rows, boundary)
-    hinge = nm.relu(nm.add(nm.mul(rows, -weights.matched_slope), weights.matched_bias))
+    hinge = nm.relu(nm.sub(weights.matched_bias, rows))
     per_pair = nm.mul(nm.mul(hinge, valid.astype(np.float64)).sum(axis=1),
                       1.0 / valid.sum(axis=1))
     return nm.mean(per_pair)
@@ -110,7 +104,7 @@ def batch_matched_word_loss(word_scores, text_mask, pairs_img, pairs_txt,
 def evidence_cut(boundary):
     """min(boundary, 0): the cut a mismatched pair's weakest word must clear.
 
-    Mined evidence of at most -bias/slope needs the weakest word that far
+    Mined evidence of at most -bias needs the weakest word that far
     below the boundary (to be selected) and below zero (its raw value).
     No gradient reaches the boundary at or above zero, the kink included.
     """
@@ -121,7 +115,7 @@ def evidence_cut(boundary):
 
 def batch_mismatched_word_loss(word_scores, text_mask, pairs_img, pairs_txt,
                                weights: LossWeights, boundary=0.0) -> Tensor:
-    """Mean over pairs of max(slope*(min_i s_i - min(boundary, 0)) + bias, 0).
+    """Mean over pairs of max(min_i s_i - min(boundary, 0) + bias, 0).
 
     Arguments as in ``batch_matched_word_loss``; no pairs cost 0.
     """
@@ -131,7 +125,7 @@ def batch_mismatched_word_loss(word_scores, text_mask, pairs_img, pairs_txt,
     s_min = nm.masked_min(rows, valid, axis=1)
     if isinstance(boundary, Tensor) or boundary != 0.0:
         s_min = nm.sub(s_min, evidence_cut(boundary))
-    per_pair = nm.relu(nm.add(nm.mul(s_min, weights.mismatched_slope), weights.mismatched_bias))
+    per_pair = nm.relu(nm.add(s_min, weights.mismatched_bias))
     return nm.mean(per_pair)
 
 
@@ -163,8 +157,8 @@ def _one_pair(word_scores, name: str) -> tuple[Tensor, np.ndarray]:
 def matched_word_loss(word_scores, weights: LossWeights, boundary=0.0) -> Tensor:
     """Mean hinge pushing every word score of a matched pair positive.
 
-    (1/length) * sum_i max(-slope*(s_i - boundary) + bias, 0); zero exactly
-    when every score clears boundary + bias/slope.
+    (1/length) * sum_i max(bias - (s_i - boundary), 0); zero exactly when
+    every score clears boundary + bias.
     """
     scores, mask = _one_pair(word_scores, "matched_word_loss")
     return batch_matched_word_loss(scores, mask, [0], [0], weights, boundary)
@@ -173,8 +167,8 @@ def matched_word_loss(word_scores, weights: LossWeights, boundary=0.0) -> Tensor
 def mismatched_word_loss(word_scores, weights: LossWeights, boundary=0.0) -> Tensor:
     """Hinge pushing the weakest word score of a mismatched pair negative.
 
-    max(slope*(min_i s_i - min(boundary, 0)) + bias, 0); zero exactly when
-    the minimum drops to min(boundary, 0) - bias/slope or lower.
+    max(min_i s_i - min(boundary, 0) + bias, 0); zero exactly when the
+    minimum drops to min(boundary, 0) - bias or lower.
     """
     scores, mask = _one_pair(word_scores, "mismatched_word_loss")
     return batch_mismatched_word_loss(scores, mask, [0], [0], weights, boundary)
@@ -199,27 +193,19 @@ def ranking_loss(s_matched, s_img_negtext, s_negimg_text, margin: float) -> Tens
     return batch_ranking_loss(sim, _ONE_PAIR_DIFF, [0], [0], margin)
 
 
-def combined_ranking(rank_global, rank_local, rank_local_neg, weights: LossWeights) -> Tensor:
-    """Weighted sum of the three ranking terms (local ones down-weighted)."""
-    total = nm.add(rank_global, nm.mul(rank_local, weights.ranking_local_weight))
-    return nm.add(total, nm.mul(rank_local_neg, weights.ranking_localneg_weight))
-
-
 def total_loss(matched, mismatched, identity, rank_global, rank_local, rank_local_neg,
                weights: LossWeights) -> tuple[Tensor, LossReport]:
-    """Assemble the weighted total; every term is reported separately.
+    """Sum the three loss families; every term is reported separately.
 
-    Disabled terms are passed as 0.0. The ranking family is combined with
-    its internal weights first, then the three families are mixed with the
-    top-level weights.
+    Disabled terms are passed as 0.0. The total is
+    ((matched + mismatched) + identity) + ranking, where ranking is
+    (rank_global + local weight * rank_local) + local-neg weight * rank_local_neg.
     """
     terms = [_as_tensor(t) for t in (matched, mismatched, identity,
                                      rank_global, rank_local, rank_local_neg)]
-    ranking = combined_ranking(terms[3], terms[4], terms[5], weights)
-    total = nm.add(
-        nm.add(nm.mul(nm.add(terms[0], terms[1]), weights.w_word),
-               nm.mul(terms[2], weights.w_identity)),
-        nm.mul(ranking, weights.w_ranking))
+    ranking = nm.add(nm.add(terms[3], nm.mul(terms[4], weights.ranking_local_weight)),
+                     nm.mul(terms[5], weights.ranking_localneg_weight))
+    total = nm.add(nm.add(nm.add(terms[0], terms[1]), terms[2]), ranking)
     report = LossReport(
         matched=terms[0].item(),
         mismatched=terms[1].item(),

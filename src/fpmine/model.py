@@ -253,9 +253,11 @@ class Model:
         one image per block), all in one (2, rows, n_txt*pad) workspace: a block's
         ``max_cosine`` keeps its maxima and one region's products there, the
         evidence overwrites the maxima, and its row sums go straight into the
-        outputs. Rows are independent, so the values do not depend on the blocks,
-        except that BLAS takes a lone image's products by gemv, which can round
-        unlike the gemm of a larger block in the last bit.
+        outputs. Rows are independent, so the values do not depend on the blocks.
+        BLAS would take a lone image's products by gemv, which can round unlike
+        the gemm of a larger block in the last bit, so a last block of one image
+        starts one image early and scores the image before it again. Only a budget
+        too small for two images leaves lone-image blocks.
         """
         bound = self.bind(None)
         images, texts = self._encode(image_samples, text_samples, bound)
@@ -269,7 +271,10 @@ class Model:
             rows = max(1, SCORE_BLOCK_BYTES // (n_txt * pad * 8))
             work = np.empty((2, min(rows, n), n_txt * pad))
             out["negative"], out["local_negative"] = np.empty((n, n_txt)), np.empty((n, n_txt))
-            for lo in range(0, n, rows):
+            starts = list(range(0, n, rows))
+            if n > rows and n % rows == 1:
+                starts[-1] -= 1
+            for lo in starts:
                 hi = min(lo + rows, n)
                 block = work[:, :hi - lo]
                 scores = sim.word_scores(nm.take_rows(regions, np.arange(lo * k, hi * k)),

@@ -26,7 +26,7 @@ from .numerics import GradTape, backward
 from .sampling import balanced_batches
 
 _CKPT_MAGIC = b"FPMCKPT1"
-_CKPT_VERSION = 2
+_CKPT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class TrainConfig:
     weights: LossWeights = field(default_factory=LossWeights)
     balanced_sampling: bool = True
     val_fraction: float = 0.1
-    val_every: int = 0              # epochs between validation passes; 0 = final only
+    val_every: int = 0              # epochs between validation passes; 0 = never
 
     def __post_init__(self):
         for name in ("epochs", "batch_size", "seed", "val_every"):

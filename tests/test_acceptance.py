@@ -100,13 +100,13 @@ def make_paths(rng):
             per_word = scores.max(axis=0)
             if np.min(np.abs(per_word)) < margin:
                 continue
-            if np.min(np.abs(-W.matched_slope * per_word + W.matched_bias)) < margin:
+            if np.min(np.abs(W.matched_bias - per_word)) < margin:
                 continue
             smin = per_word.min()
             others = np.sort(per_word)
             if length > 1 and others[1] - others[0] < margin:
                 continue
-            if abs(W.mismatched_slope * smin + W.mismatched_bias) < margin:
+            if abs(smin + W.mismatched_bias) < margin:
                 continue
             return [v, e, theta, phi]
 
@@ -178,10 +178,9 @@ def make_boundary_path(rng):
             ordered = np.sort(scores)
             if abs(tau) < margin or ordered[1] - ordered[0] < margin:
                 continue
-            if np.min(np.abs(-W.matched_slope * (scores - tau) + W.matched_bias)) < margin:
+            if np.min(np.abs(W.matched_bias - (scores - tau))) < margin:
                 continue
-            if abs(W.mismatched_slope * (ordered[0] - min(tau, 0.0))
-                   + W.mismatched_bias) < margin:
+            if abs(ordered[0] - min(tau, 0.0) + W.mismatched_bias) < margin:
                 continue
             return [scores, np.asarray(tau)]
 

@@ -89,7 +89,8 @@ class TestConfigParsing:
     @pytest.mark.parametrize("key", ["beta1", "beta2", "adam_eps", "grad_clip_norm",
                                      "lr_decay_every", "lr_decay_factor",
                                      "word_loss_reduction", "extra_token_max",
-                                     "extra_token_pool"])
+                                     "extra_token_pool", "matched_slope", "mismatched_slope",
+                                     "w_word", "w_identity", "w_ranking"])
     def test_removed_key_is_unknown(self, tmp_path, capsys, key):
         p = tmp_path / "c.cfg"
         p.write_text(f"{key} = 1.0\n")
@@ -313,13 +314,14 @@ class TestTrainEval:
         assert main(["train", "--config", config_file, "--epochs", "0",
                      "--data", str(data_dir / "dataset.bin"), "--out", str(run)]) == 0
         blob = bytearray((run / "checkpoint.bin").read_bytes())
-        blob[8:12] = struct.pack("<I", 1)
-        old = tmp_path / "v1.bin"
-        old.write_bytes(bytes(blob))
-        code = main(["eval", "--checkpoint", str(old), "--data", str(data_dir / "dataset.bin"),
-                     "--out", str(tmp_path / "e")])
-        assert code == 2
-        assert "unsupported checkpoint version 1" in capsys.readouterr().err
+        for version in (1, 2):
+            blob[8:12] = struct.pack("<I", version)
+            old = tmp_path / f"v{version}.bin"
+            old.write_bytes(bytes(blob))
+            code = main(["eval", "--checkpoint", str(old),
+                         "--data", str(data_dir / "dataset.bin"), "--out", str(tmp_path / "e")])
+            assert code == 2
+            assert f"unsupported checkpoint version {version}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags,line", [(["--lr", "nan"], ""), (["--lr", "inf"], ""),
                                             ([], "val_every = -1\n"), ([], "epochs = 1.5\n"),

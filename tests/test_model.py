@@ -304,9 +304,9 @@ class TestWordHingesAgainstNumpyOracle:
             return float(np.mean(vals))
 
         matched = per_pair(plan.matched, lambda s: np.mean(
-            np.maximum(-w.matched_slope * (s - tau) + w.matched_bias, 0.0)))
+            np.maximum(w.matched_bias - (s - tau), 0.0)))
         mismatched = per_pair(plan.mismatched, lambda s: max(
-            w.mismatched_slope * (s.min() - min(tau, 0.0)) + w.mismatched_bias, 0.0))
+            s.min() - min(tau, 0.0) + w.mismatched_bias, 0.0))
 
         def ce(x, labels, weight):
             logits = x @ weight.T
@@ -356,7 +356,7 @@ class TestTapeSize:
         plan = next(iter(balanced_batches(ds, 6, seed=1)))
         tape = GradTape()
         Model(CFG, seed=5).batch_loss(ds, plan, tape)
-        assert len(tape) <= 87
+        assert len(tape) <= 82
 
     def test_dropped_tape_freed_without_cyclic_gc(self):
         import gc
@@ -393,7 +393,9 @@ class TestBlockedScoring:
 
     def setup_method(self):
         self.ds = toy_dataset(identities=5, per_id=3)
-        self.images = [self.ds.samples[i] for i in (0, 2, 3, 5, 6, 8, 9, 11, 12, 14, 13)]
+        # sample 11 last: alone in a block, BLAS would score it by gemv, which rounds
+        # some of its entries unlike the gemm of a larger block
+        self.images = [self.ds.samples[i] for i in (0, 2, 3, 5, 6, 8, 9, 12, 14, 13, 11)]
         self.texts = [self.ds.samples[i] for i in (1, 4, 7, 10, 13, 3, 0)]
 
     def score(self, model, monkeypatch, budget):
@@ -403,7 +405,9 @@ class TestBlockedScoring:
 
     @pytest.mark.parametrize("flags", [ModelFlags(), ModelFlags(use_mining=False),
                                        ModelFlags(learnable_boundary=True)])
-    @pytest.mark.parametrize("rows", [3, 1])  # 3+3+3+2 images (ragged), or one per block
+    # 3+3+3+2 images (ragged); 2+2+2+2+2, then images 9 and 10 (the last block starts
+    # one image early, so no block holds a lone image); or one image per block
+    @pytest.mark.parametrize("rows", [3, 2, 1])
     def test_blocks_match_one_block(self, monkeypatch, flags, rows):
         model = Model(CFG, flags, seed=3)
         if flags.learnable_boundary:
@@ -459,7 +463,7 @@ class TestBlockedScoring:
         model = Model(CFG, seed=3)
         comps, _ = self.score(model, monkeypatch, 2 * self.row_bytes(self.texts))
         bound = model.bind(None)
-        i, j = len(self.images) - 1, 2  # the one-image block
+        i, j = len(self.images) - 1, 2  # in the last block, images 9 and 10
         b = pair_breakdown(encode_image(self.images[i].image_raw, bound, CFG),
                            encode_text(self.texts[j].text_raw, bound, CFG),
                            model.mining_params(bound))
@@ -468,9 +472,9 @@ class TestBlockedScoring:
         assert comps["local"][i, j] == pytest.approx(b.local_score, abs=1e-12)
         assert comps["negative"][i, j] == pytest.approx(b.negative_score, abs=1e-12)
         assert comps["local_negative"][i, j] == pytest.approx(b.local_negative_score, abs=1e-12)
-        last = model._encode(self.images[i:], self.texts, bound)
+        last = model._encode(self.images[i - 1:], self.texts, bound)
         np.testing.assert_allclose(
-            model.word_score_tensor(*last, model.mining_params(bound)).data[0, j, :length],
+            model.word_score_tensor(*last, model.mining_params(bound)).data[1, j, :length],
             b.word_scores, rtol=0, atol=1e-12)
 
     def test_peak_allocation_is_outputs_plus_blocks(self, monkeypatch):

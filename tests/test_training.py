@@ -135,6 +135,10 @@ class TestTrain:
         assert len(vals) == 2
         assert set(vals[0]["r_at"]) == {1, 5, 10}
 
+    def test_val_every_zero_never_validates(self):
+        result = train(toy_dataset(), toy_config(epochs=2, val_every=0))
+        assert not [r for r in result.log if r["type"] == "val"]
+
     def test_boundary_logged_when_learnable(self):
         ds = toy_dataset()
         result = train(ds, toy_config(flags=ModelFlags(learnable_boundary=True)))
