@@ -26,6 +26,7 @@ from .evaluation import (ablation_suite, evaluate_with_activity, negative_eviden
                          planted_contradiction_pairs)
 from .losses import LossWeights
 from .model import FUSIONS, ModelFlags
+from .numerics import blas_threads
 from .training import (TrainConfig, gradcheck, load_checkpoint, model_from_checkpoint,
                        save_checkpoint, train)
 
@@ -135,6 +136,7 @@ def write_manifest(run_dir: Path, command: str, resolved: dict, inputs: list[Pat
         "inputs": {str(p): _sha256(p) for p in inputs if p is not None and Path(p).exists()},
         "outputs": outputs,
         "seed": seed,
+        "blas_threads": blas_threads(),
     }
     _write_json(run_dir / "manifest.json", doc)
 

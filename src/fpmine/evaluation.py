@@ -40,9 +40,16 @@ class RetrievalResult:
 
 def rank_rows(scores: np.ndarray) -> np.ndarray:
     """Descending ranking per row, in the narrowest unsigned type that holds every index
-    (uint8 up to 256 items, uint16 up to 65 536); equal scores keep the lower index first."""
-    return np.argsort(-scores, axis=-1, kind="stable").astype(
-        np.min_scalar_type(scores.shape[-1] - 1))
+    (uint8 up to 256 items, uint16 up to 65 536); equal scores keep the lower index first.
+
+    The default sort is not stable, so only rows whose sorted scores are not strictly
+    descending (a tie, or a NaN) are sorted again, stably."""
+    neg = -np.asarray(scores)
+    order = np.argsort(neg, axis=-1)
+    ranked = np.take_along_axis(neg, order, axis=-1)
+    tied = ~(ranked[..., :-1] < ranked[..., 1:]).all(axis=-1)
+    order[tied] = np.argsort(neg[tied], axis=-1, kind="stable")
+    return order.astype(np.min_scalar_type(neg.shape[-1] - 1))
 
 
 def rank_gallery(model: Model, query: Sample, gallery: list[Sample],

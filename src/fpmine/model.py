@@ -29,11 +29,12 @@ from .similarity import FUSIONS, MiningParams  # noqa: F401 (FUSIONS is re-expor
 
 # Bytes of the float64 (rows, n_txt * pad) word scores of one evaluation block; the
 # block's workspace is two such arrays. Chosen on a 600 x 600 evaluate_retrieval
-# (K = 6, pad 16; 2 cores, numpy 2.4.6 / OpenBLAS), median wall / CPU ms: 244 / 482
-# at 1 MiB, 205 / 408 at 2, 193 / 383 at 4, 191 / 380 at 8, 188 / 372 at 12,
-# 195 / 390 at 16, 200 / 394 at 24, 201 / 397 at 32 (quartiles about +-10 ms); the
-# traced peak of score_components is 23 MiB plus two budgets (39 MiB at 8). Going
-# from 6 blocks (8 MiB) to 47 (1 MiB) costs about 1.3 ms per added block.
+# (K = 6, pad 16; 2 cores, numpy 2.4.6 / OpenBLAS on its one thread, so wall and CPU
+# time agree), median ms of 51 rounds: 201 at 1 MiB, 187 at 2, 179 at 4, 178 at 8,
+# 182 at 12, 187 at 16, 205 at 24, 204 at 32 (quartiles about +-5 ms); the traced
+# peak of score_components is 23 MiB plus two budgets (39 MiB at 8, 31 MiB at 4, which
+# is as fast within the quartiles). Going from 6 blocks (8 MiB) to 47 (1 MiB) costs
+# about 0.5 ms per added block.
 SCORE_BLOCK_BYTES = 8 * 2 ** 20
 
 

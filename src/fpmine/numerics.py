@@ -17,6 +17,9 @@ Kink conventions are fixed so tests are deterministic:
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,6 +27,38 @@ import numpy as np
 from .errors import ContractError, InputError, NumericalError, ShapeError
 
 NORM_EPS = 1e-12
+
+
+def _openblas(verb: str):
+    """``openblas_<verb>_num_threads`` of the OpenBLAS bundled with numpy, or None."""
+    libs = os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*.so*")
+    for path in sorted(glob.glob(libs)):
+        lib = ctypes.CDLL(path)  # the copy numpy loaded: dlopen returns its handle
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            fn = getattr(lib, name.format(verb), None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def blas_threads() -> int | None:
+    """Threads numpy's OpenBLAS uses, read from the library; None if it is not found."""
+    getter = _openblas("get")
+    if getter is None:
+        return None
+    getter.restype, getter.argtypes = ctypes.c_int, []
+    return int(getter())
+
+
+# BLAS runs on one thread. A second one doubles the CPU time of a training step and saves
+# no wall time, and OpenBLAS rounds some products differently at one and two threads, so
+# checkpoints would depend on the machine's core count. (For a BLAS without this setter,
+# fpmine/__init__ sets the environment variables it reads when numpy loads it.)
+_setter = _openblas("set")
+if _setter is not None:
+    _setter.restype, _setter.argtypes = None, [ctypes.c_int]
+    _setter(1)
 
 _DEBUG_CHECKS = False
 
@@ -424,6 +459,14 @@ def minimum(a, threshold: float, out=None) -> Tensor:
                  lambda g: (np.asarray(g) * (a.data < threshold),))
 
 
+def keep(a, mask, out=None) -> Tensor:
+    """``a * mask`` for a constant boolean ``mask`` of ``a``'s shape, which is neither
+    copied to float64 nor differentiated: dropped entries read 0 with ``a``'s sign."""
+    a = _as_tensor(a)
+    return _emit(np.multiply(a.data, mask, out=_into(out, a)), (a,),
+                 lambda g: (np.asarray(g) * mask,))
+
+
 def relu(a) -> Tensor:
     return maximum(a, 0.0)
 
@@ -726,11 +769,11 @@ __all__ = [
     "Tensor",
     "GradTape",
     "backward",
-    "set_debug_checks",
+    "set_debug_checks", "blas_threads",
     "add", "sub", "mul", "div", "neg",
     "matmul", "transpose", "reshape",
     "reduce_sum", "reduce_max", "masked_max", "masked_min",
-    "maximum", "minimum", "relu", "clamp",
+    "maximum", "minimum", "keep", "relu", "clamp",
     "sqrt", "exp", "log",
     "take_rows", "stack", "l2_normalize",
     "cosine", "max_cosine", "linear", "cross_entropy", "hardest_negative_hinge",

@@ -179,6 +179,7 @@ class TestTrainEval:
         manifest = json.loads((run / "manifest.json").read_text())
         assert manifest["command"] == "train"
         assert manifest["resolved_config"]["train"]["epochs"] == 2
+        assert manifest["blas_threads"] == 1  # pinned when fpmine is imported
 
         ev = tmp_path / "eval"
         code = main(["eval", "--checkpoint", str(run / "checkpoint.bin"),

@@ -500,3 +500,22 @@ class TestBlockedScoring:
         outputs = sum(arr.nbytes for arr in comps.values())
         assert peaks[small] < outputs + self.row_bytes(ds.samples) * len(ds.samples) / 2
         assert peaks[large] - peaks[small] <= (2 + 1 / 4) * (large - small)
+
+    def test_learnable_boundary_mask_costs_no_float_copy(self, monkeypatch):
+        # the boundary's keep mask is a bool array, 1/8 of a block's word scores; its
+        # float64 copy added about 0.6 of a block to the peak here (1.1 at n = 600)
+        import tracemalloc
+
+        ds = toy_dataset(identities=10, per_id=16)
+        budget = 1 << 17
+        monkeypatch.setattr(model_module, "SCORE_BLOCK_BYTES", budget)
+        peaks = []
+        for flags in (ModelFlags(), ModelFlags(learnable_boundary=True)):
+            model = Model(CFG, flags, seed=1)
+            tracemalloc.start()
+            try:
+                model.score_components(ds.samples, ds.samples)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= budget / 8

@@ -786,6 +786,7 @@ def _op_cases():
         "masked_min": lambda t: nm.masked_min(t(m), mask, axis=1, allow_empty=True),
         "maximum": lambda t: nm.maximum(t(m), 0.1),
         "minimum": lambda t: nm.minimum(t(m), 0.1),
+        "keep": lambda t: nm.keep(t(m), mask),
         "relu": lambda t: nm.relu(t(m)),
         "clamp": lambda t: nm.clamp(t(m), -0.5, 0.5),
         "sqrt": lambda t: nm.sqrt(t(p)),
@@ -812,7 +813,7 @@ def _op_cases():
 
 
 NOT_OPS = {"NORM_EPS", "Tensor", "GradTape", "backward", "set_debug_checks",
-           "finite_difference_grad"}
+           "blas_threads", "finite_difference_grad"}
 
 
 def test_op_cases_cover_every_op():
@@ -840,6 +841,7 @@ def _out_cases():
         "add": (lambda t, out: nm.add(t(m), t(r), out=out), (4, 3)),
         "mul": (lambda t, out: nm.mul(t(m), t(r), out=out), (4, 3)),
         "minimum": (lambda t, out: nm.minimum(t(m), 0.1, out=out), (4, 3)),
+        "keep": (lambda t, out: nm.keep(t(m), m < 0.2, out=out), (4, 3)),
         "reduce_sum": (lambda t, out: nm.reduce_sum(t(m), axis=1, out=out), (4,)),
         "max_cosine": (lambda t, out: nm.max_cosine(t(a), t(b), 4, out=out), (2, 2, 5)),
     }

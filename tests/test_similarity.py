@@ -153,6 +153,21 @@ class TestMiningMask:
         assert grads[tau].item() == 0.0
         assert grads[s].data.tolist() == [1.0, 0.0, 1.0]
 
+    @pytest.mark.parametrize("tau", [-0.05, 0.1, "tensor"])
+    def test_boundary_mask_equals_product_with_float_mask(self, tau):
+        # the bool keep mask is not copied to float64, but each entry is still the score
+        # times 1.0 or 0.0, taped or not; bit for bit, so below zero a dropped score
+        # must read -0.0
+        grid = np.arange(-0.3, 0.3 + 1e-9, 1e-3)
+        tau = Tensor(-0.05) if tau == "tensor" else tau
+        keep = (grid < (tau.data if isinstance(tau, Tensor) else tau)).astype(np.float64)
+        assert mining_mask(Tensor(grid), tau).data.tobytes() == (grid * keep).tobytes()
+        tape = GradTape()
+        s = tape.leaf(grid)
+        up = np.linspace(-2.0, 2.0, grid.size)
+        g = backward(nm.reduce_sum(nm.mul(mining_mask(s, tau), up)), tape)[s].data
+        assert g.tobytes() == (up * keep).tobytes()
+
 
 class TestNegativeSimilarity:
     def test_hand_sum(self):

@@ -1,7 +1,10 @@
 """Optimizer, training loop, checkpoints, gradcheck."""
 
 import functools
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -222,6 +225,47 @@ class TestCheckpoint:
         s1 = result.model.score_matrix([ds.samples[0]], [ds.samples[1]], "full")
         s2 = rebuilt.score_matrix([ds.samples[0]], [ds.samples[1]], "full")
         assert np.array_equal(s1, s2)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# numpy loads first, so its OpenBLAS starts at the thread count of the environment and
+# only the pin made when fpmine is imported can bring it to one thread
+FIVE_EPOCHS = """
+import dataclasses, sys
+import numpy
+from conftest import accept_config, accept_dataset
+from fpmine.training import save_checkpoint, train
+config = dataclasses.replace(accept_config(0, "full"), epochs=5)
+save_checkpoint(train(accept_dataset(0), config).checkpoint, sys.argv[1])
+"""
+
+READ_THREADS = """
+import numpy
+from fpmine.numerics import blas_threads
+print(blas_threads())
+"""
+
+
+def run_python(code: str, threads: int, *args: str) -> str:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestOneBlasThread:
+    def test_import_pins_numpy_blas_to_one_thread(self):
+        assert run_python(READ_THREADS, 2).strip() == "1"
+
+    def test_checkpoints_do_not_depend_on_the_thread_count(self, tmp_path):
+        # OpenBLAS rounds some training products differently at one and two threads
+        paths = [tmp_path / f"threads{n}.bin" for n in (1, 2)]
+        for n, path in zip((1, 2), paths):
+            run_python(FIVE_EPOCHS, n, str(path))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 @functools.lru_cache(maxsize=1)
