@@ -8,14 +8,6 @@ Everything runs on a small reverse-mode autodiff tape over numpy arrays.
 Importing the package pins numpy's BLAS to one thread (see ``numerics.blas_threads``).
 """
 
-import os as _os
-import sys as _sys
-
-# numerics pins numpy's OpenBLAS through the library's own setter, which works at any
-# time; these variables pin a BLAS without a known setter, read only when numpy loads it
-if "numpy" not in _sys.modules:
-    _os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-
 from .dataset import (SyntheticDataset, export_json, generate_synthetic_dataset,
                       identity_split, load_dataset, save_dataset, twin_pairs)
 from .encoders import (EmbeddingBundle, EncoderConfig, Sample, encode_image,

@@ -53,8 +53,8 @@ def blas_threads() -> int | None:
 
 # BLAS runs on one thread. A second one doubles the CPU time of a training step and saves
 # no wall time, and OpenBLAS rounds some products differently at one and two threads, so
-# checkpoints would depend on the machine's core count. (For a BLAS without this setter,
-# fpmine/__init__ sets the environment variables it reads when numpy loads it.)
+# checkpoints would depend on the machine's core count. A BLAS without this setter keeps
+# its own count, which blas_threads() then reports as None.
 _setter = _openblas("set")
 if _setter is not None:
     _setter.restype, _setter.argtypes = None, [ctypes.c_int]
@@ -327,7 +327,13 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b, out=None) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    """``a * b``. An operand that is not a Tensor is a constant: it is used as it is (a
+    boolean mask is not copied to float64) and gets no gradient."""
+    if not (isinstance(a, Tensor) and isinstance(b, Tensor)):
+        t, c = (b, a) if isinstance(b, Tensor) else (_as_tensor(a), b)
+        c = np.asarray(c)
+        return _emit(np.multiply(t.data, c, out=_into(out, t)), (t,),
+                     lambda g: (_unbroadcast(g * c, t.shape),))
     ad, bd = a.data, b.data
 
     def bw(g):
@@ -457,14 +463,6 @@ def minimum(a, threshold: float, out=None) -> Tensor:
     a = _as_tensor(a)
     return _emit(np.minimum(a.data, threshold, out=_into(out, a)), (a,),
                  lambda g: (np.asarray(g) * (a.data < threshold),))
-
-
-def keep(a, mask, out=None) -> Tensor:
-    """``a * mask`` for a constant boolean ``mask`` of ``a``'s shape, which is neither
-    copied to float64 nor differentiated: dropped entries read 0 with ``a``'s sign."""
-    a = _as_tensor(a)
-    return _emit(np.multiply(a.data, mask, out=_into(out, a)), (a,),
-                 lambda g: (np.asarray(g) * mask,))
 
 
 def relu(a) -> Tensor:
@@ -773,7 +771,7 @@ __all__ = [
     "add", "sub", "mul", "div", "neg",
     "matmul", "transpose", "reshape",
     "reduce_sum", "reduce_max", "masked_max", "masked_min",
-    "maximum", "minimum", "keep", "relu", "clamp",
+    "maximum", "minimum", "relu", "clamp",
     "sqrt", "exp", "log",
     "take_rows", "stack", "l2_normalize",
     "cosine", "max_cosine", "linear", "cross_entropy", "hardest_negative_hinge",

@@ -120,9 +120,9 @@ def mining_mask(score, boundary=0.0, out=None) -> Tensor:
     """
     s = _as_tensor(score)
     if isinstance(boundary, Tensor):
-        return nm.keep(s, s.data < boundary.data, out=out)
+        return nm.mul(s, s.data < boundary.data, out=out)
     if boundary != 0.0:
-        return nm.keep(s, s.data < boundary, out=out)
+        return nm.mul(s, s.data < boundary, out=out)
     return nm.minimum(s, 0.0, out=out)
 
 

@@ -48,13 +48,20 @@ class TestRankRows:
             assert sorted(out.tolist()) == list(range(12))
 
     def test_narrow_equal_to_int64_argsort(self):
+        # rank_rows re-sorts only the tied rows, so mix them with untied ones; +0.0 and
+        # -0.0 compare equal, so a row of both is tied too
         rng = np.random.default_rng(1)
-        scores = rng.choice([0.0, 0.25, 0.5, 1.0], size=(7, 40))
+        signed_zeros = np.where(rng.random(40) < 0.5, 0.0, -0.0)
+        rows = np.vstack([rng.choice([0.0, 0.25, 0.5, 1.0], size=(7, 40)),
+                          rng.normal(size=(5, 40)), signed_zeros, np.full(40, 0.3)])
+        scores = rows[rng.permutation(len(rows))]
         out = rank_rows(scores)
         assert out.dtype == np.min_scalar_type(40 - 1) == np.uint8
         want = np.argsort(-scores, axis=-1, kind="stable")
         assert want.dtype == np.int64
         assert np.array_equal(out, want)
+        for row, want_row in zip(scores, want):  # one row, as rank_gallery passes it
+            assert np.array_equal(rank_rows(row), want_row)
 
     def test_uint16_past_256_items(self):
         # a gallery of 300: indices up to 299 need uint16; rankings and R@K as int64's

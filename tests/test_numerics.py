@@ -775,6 +775,7 @@ def _op_cases():
         "add": lambda t: nm.add(t(m), t(r)),
         "sub": lambda t: nm.sub(t(m), t(r)),
         "mul": lambda t: nm.mul(t(m), t(r)),
+        "mul:constant": lambda t: nm.mul(mask, t(m)),
         "div": lambda t: nm.div(t(m), t(p)),
         "neg": lambda t: nm.neg(t(m)),
         "matmul": lambda t: nm.matmul(t(m), t(b.T)),
@@ -786,7 +787,6 @@ def _op_cases():
         "masked_min": lambda t: nm.masked_min(t(m), mask, axis=1, allow_empty=True),
         "maximum": lambda t: nm.maximum(t(m), 0.1),
         "minimum": lambda t: nm.minimum(t(m), 0.1),
-        "keep": lambda t: nm.keep(t(m), mask),
         "relu": lambda t: nm.relu(t(m)),
         "clamp": lambda t: nm.clamp(t(m), -0.5, 0.5),
         "sqrt": lambda t: nm.sqrt(t(p)),
@@ -841,7 +841,7 @@ def _out_cases():
         "add": (lambda t, out: nm.add(t(m), t(r), out=out), (4, 3)),
         "mul": (lambda t, out: nm.mul(t(m), t(r), out=out), (4, 3)),
         "minimum": (lambda t, out: nm.minimum(t(m), 0.1, out=out), (4, 3)),
-        "keep": (lambda t, out: nm.keep(t(m), m < 0.2, out=out), (4, 3)),
+        "mul:constant": (lambda t, out: nm.mul(t(m), m < 0.2, out=out), (4, 3)),
         "reduce_sum": (lambda t, out: nm.reduce_sum(t(m), axis=1, out=out), (4,)),
         "max_cosine": (lambda t, out: nm.max_cosine(t(a), t(b), 4, out=out), (2, 2, 5)),
     }
