@@ -6,6 +6,9 @@ identities (the hard negatives) copy a parent and flip a couple of the
 faint "detail" attributes.
 """
 
+import tempfile
+from pathlib import Path
+
 from fpmine import EncoderConfig, generate_synthetic_dataset, save_dataset, twin_pairs
 from fpmine.dataset import export_json, identity_split, load_dataset
 
@@ -28,8 +31,9 @@ print(f"\nsample 0: identity {sample.identity_id}, "
 train_idx, val_idx = identity_split(dataset, 0.1, seed=0)
 print(f"identity-disjoint split: {train_idx.size} train / {val_idx.size} val samples")
 
-save_dataset(dataset, "/tmp/fpmine_demo.bin")
-export_json(dataset, "/tmp/fpmine_demo.json")
-back = load_dataset("/tmp/fpmine_demo.bin")
-print(f"\nround-trip through /tmp/fpmine_demo.bin: {len(back.samples)} samples, "
+with tempfile.TemporaryDirectory() as tmp:
+    save_dataset(dataset, Path(tmp) / "dataset.bin")
+    export_json(dataset, Path(tmp) / "dataset.json")
+    back = load_dataset(Path(tmp) / "dataset.bin")
+print(f"\nround-trip through dataset.bin: {len(back.samples)} samples, "
       f"seed {back.seed}, noise {back.noise}")

@@ -24,7 +24,6 @@ from .encoders import EncoderConfig
 from .errors import ConfigError, DataError, FpmineError, InputError, NumericalError
 from .evaluation import (ablation_suite, evaluate_with_activity, negative_evidence_report,
                          planted_contradiction_pairs)
-from .losses import LossWeights
 from .model import FUSIONS, ModelFlags
 from .numerics import blas_threads
 from .training import (TrainConfig, gradcheck, load_checkpoint, model_from_checkpoint,
@@ -46,14 +45,13 @@ class _Parser(argparse.ArgumentParser):
 # ------------------------------------------------------------- config loading
 
 ENCODER_KEYS = tuple(f.name for f in fields(EncoderConfig))
-TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name not in ("flags", "weights"))
+TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "flags")
 FLAG_KEYS = tuple(f.name for f in fields(ModelFlags))
-WEIGHT_KEYS = tuple(f.name for f in fields(LossWeights))
 GEN_KEYS = ("identities", "samples_per_identity", "attribute_count", "noise",
             "text_noise", "hard_negative_fraction", "flip_count", "detail_count",
             "detail_strength", "min_hamming", "strong_token_keep")
 DATA_KEYS = ENCODER_KEYS + GEN_KEYS                  # read by gen-data
-MODEL_KEYS = TRAIN_KEYS + FLAG_KEYS + WEIGHT_KEYS    # read by train and ablate
+MODEL_KEYS = TRAIN_KEYS + FLAG_KEYS                  # read by train and ablate
 
 
 def parse_config_file(path: Path) -> dict:
@@ -88,16 +86,13 @@ def parse_config_file(path: Path) -> dict:
 
 def build_configs(settings: dict) -> tuple[EncoderConfig, TrainConfig, dict]:
     """Split a flat settings dict into encoder, training, and generator configs."""
-    known = set(ENCODER_KEYS) | set(TRAIN_KEYS) | set(FLAG_KEYS) | set(WEIGHT_KEYS) | set(GEN_KEYS)
-    unknown = set(settings) - known
+    unknown = set(settings) - set(DATA_KEYS + MODEL_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
         encoder = EncoderConfig(**{k: settings[k] for k in ENCODER_KEYS if k in settings})
         flags = ModelFlags(**{k: settings[k] for k in FLAG_KEYS if k in settings})
-        weights = LossWeights(**{k: settings[k] for k in WEIGHT_KEYS if k in settings})
-        tc = TrainConfig(flags=flags, weights=weights,
-                         **{k: settings[k] for k in TRAIN_KEYS if k in settings})
+        tc = TrainConfig(flags=flags, **{k: settings[k] for k in TRAIN_KEYS if k in settings})
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
     gen = {k: settings[k] for k in GEN_KEYS if k in settings}

@@ -82,11 +82,13 @@ def _split_samples(dataset: SyntheticDataset, indices) -> tuple[list[Sample], np
     return samples, np.array([s.identity_id for s in samples])
 
 
-def _retrieval_result(scores: np.ndarray, ids: np.ndarray, fusion: str,
-                      ks: tuple[int, ...]) -> RetrievalResult:
+_RECALL_KS = (1, 5, 10)
+
+
+def _retrieval_result(scores: np.ndarray, ids: np.ndarray, fusion: str) -> RetrievalResult:
     """Rank the gallery for every caption of an (images, captions) score matrix."""
     rankings = rank_rows(scores.T)  # (queries, gallery)
-    r_at = {k: recall_at_k(rankings, ids, ids, k) for k in ks}
+    r_at = {k: recall_at_k(rankings, ids, ids, k) for k in _RECALL_KS}
     return RetrievalResult(rankings, r_at, len(ids), len(ids), fusion)
 
 
@@ -108,10 +110,10 @@ def _activity(negative: np.ndarray, ids: np.ndarray) -> dict:
 
 
 def evaluate_retrieval(model: Model, dataset: SyntheticDataset, indices,
-                       fusion: str, *, ks: tuple[int, ...] = (1, 5, 10)) -> RetrievalResult:
-    """Text-to-image retrieval over one identity-disjoint split."""
+                       fusion: str) -> RetrievalResult:
+    """Text-to-image retrieval over one identity-disjoint split: R@1, R@5 and R@10."""
     samples, ids = _split_samples(dataset, indices)
-    return _retrieval_result(model.score_matrix(samples, samples, fusion), ids, fusion, ks)
+    return _retrieval_result(model.score_matrix(samples, samples, fusion), ids, fusion)
 
 
 def mining_activity(model: Model, dataset: SyntheticDataset, indices) -> dict:
@@ -131,7 +133,7 @@ def evaluate_with_activity(model: Model, dataset: SyntheticDataset, indices,
     """``evaluate_retrieval`` and ``mining_activity`` from one scoring of the split."""
     samples, ids = _split_samples(dataset, indices)
     comps = model.score_components(samples, samples)
-    result = _retrieval_result(fuse(comps, fusion).data, ids, fusion, (1, 5, 10))
+    result = _retrieval_result(fuse(comps, fusion).data, ids, fusion)
     activity = _activity(comps["negative"], ids) if "negative" in comps else dict(_INACTIVE)
     return result, activity
 

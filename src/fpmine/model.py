@@ -251,14 +251,13 @@ class Model:
         Once per call, both sides are encoded, the global and local cosines taken
         and the mining projections made. The word scores are then made in blocks
         of images whose (rows, n_txt*pad) scores fit ``SCORE_BLOCK_BYTES`` (at least
-        one image per block), all in one (2, rows, n_txt*pad) workspace: a block's
+        two images per block), all in one (2, rows, n_txt*pad) workspace: a block's
         ``max_cosine`` keeps its maxima and one region's products there, the
         evidence overwrites the maxima, and its row sums go straight into the
         outputs. Rows are independent, so the values do not depend on the blocks.
         BLAS would take a lone image's products by gemv, which can round unlike
         the gemm of a larger block in the last bit, so a last block of one image
-        starts one image early and scores the image before it again. Only a budget
-        too small for two images leaves lone-image blocks.
+        starts one image early and scores the image before it again.
         """
         bound = self.bind(None)
         images, texts = self._encode(image_samples, text_samples, bound)
@@ -269,7 +268,7 @@ class Model:
             n_txt, pad = texts.word_feats.shape[:2]
             regions, words = sim.projected(images.region_feats, texts.word_feats,
                                            self.mining_params(bound))
-            rows = max(1, SCORE_BLOCK_BYTES // (n_txt * pad * 8))
+            rows = max(2, SCORE_BLOCK_BYTES // (n_txt * pad * 8))
             work = np.empty((2, min(rows, n), n_txt * pad))
             out["negative"], out["local_negative"] = np.empty((n, n_txt)), np.empty((n, n_txt))
             starts = list(range(0, n, rows))

@@ -401,11 +401,15 @@ def reduce_sum(a, axis=None, keepdims: bool = False, out=None) -> Tensor:
 
 
 def _max_along(a: Tensor, work: np.ndarray, axis: int, keepdims: bool,
-               valid: np.ndarray | None = None, default: float = 0.0) -> Tensor:
-    """``np.max`` of ``work`` along ``axis`` as an op on ``a``; slices where the kept-dims
-    ``valid`` is False yield ``default``. Only a tape takes the argmax: backward routes
-    each slice's gradient to its lowest-index maximizer (none for an invalid slice)."""
+               valid: np.ndarray | None = None, default: float = 0.0,
+               negate: bool = False) -> Tensor:
+    """``np.max`` of ``work`` along ``axis`` as an op on ``a``, negated if ``negate`` (the
+    min of ``a`` from ``work`` = -a); slices where the kept-dims ``valid`` is False yield
+    ``default``. Only a tape takes the argmax: backward routes each slice's gradient to
+    its lowest-index maximizer of ``work`` (none for an invalid slice)."""
     out = np.max(work, axis=axis, keepdims=True)
+    if negate:
+        out = -out
     if valid is not None:
         out = np.where(valid, out, default)
     out = out if keepdims else np.squeeze(out, axis=axis)
@@ -429,26 +433,31 @@ def reduce_max(a, axis: int = 0, keepdims: bool = False) -> Tensor:
     return _max_along(a, a.data, axis, keepdims)
 
 
-def masked_max(a, mask, axis: int, keepdims: bool = False,
-               allow_empty: bool = False, default: float = 0.0) -> Tensor:
+def _masked_max(a, mask, axis: int, allow_empty: bool, default: float,
+                negate: bool = False) -> Tensor:
+    """``masked_max``, or with ``negate`` ``masked_min`` as minus the masked max of -a."""
+    a = _as_tensor(a)
+    maskb = np.broadcast_to(np.asarray(mask, dtype=bool), a.shape)
+    valid = maskb.any(axis=axis, keepdims=True)
+    if not (allow_empty or valid.all()):
+        raise ContractError("masked max/min over a slice with no valid entries")
+    work = np.where(maskb, -a.data if negate else a.data, -np.inf)
+    return _max_along(a, work, axis, False, valid, default, negate)
+
+
+def masked_max(a, mask, axis: int, allow_empty: bool = False, default: float = 0.0) -> Tensor:
     """Max over entries where ``mask`` is True.
 
     ``mask`` is a constant boolean array broadcastable to ``a``; no gradient
     flows through it. Slices with no valid entry raise ContractError unless
     ``allow_empty``, in which case they yield ``default`` with zero gradient.
     """
-    a = _as_tensor(a)
-    maskb = np.broadcast_to(np.asarray(mask, dtype=bool), a.shape)
-    valid = maskb.any(axis=axis, keepdims=True)
-    if not (allow_empty or valid.all()):
-        raise ContractError("masked_max over a slice with no valid entries")
-    return _max_along(a, np.where(maskb, a.data, -np.inf), axis, keepdims, valid, default)
+    return _masked_max(a, mask, axis, allow_empty, default)
 
 
-def masked_min(a, mask, axis: int, keepdims: bool = False,
-               allow_empty: bool = False, default: float = 0.0) -> Tensor:
-    return neg(masked_max(neg(_as_tensor(a)), mask, axis, keepdims=keepdims,
-                          allow_empty=allow_empty, default=-default))
+def masked_min(a, mask, axis: int, allow_empty: bool = False, default: float = 0.0) -> Tensor:
+    """Min over entries where ``mask`` is True, one tape node; otherwise as ``masked_max``."""
+    return _masked_max(a, mask, axis, allow_empty, default, negate=True)
 
 
 def maximum(a, threshold: float) -> Tensor:

@@ -13,6 +13,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .dataset import SyntheticDataset
 from .errors import ConfigError
 
 Pair = tuple[int, int]
@@ -43,17 +44,16 @@ class BatchPlan:
                 raise ConfigError(f"mismatched pair ({img}, {txt}) shares an identity")
 
 
-def balanced_batches(dataset, batch_size: int, seed: int, *,
+def balanced_batches(dataset: SyntheticDataset, batch_size: int, seed: int, *,
                      include: Sequence[int] | None = None,
                      balanced: bool = True) -> Iterator[BatchPlan]:
     """Yield one epoch of batch plans, deterministically per seed.
 
     Each epoch covers every matched pair in ``include`` exactly once in a
     shuffled order; the trailing partial batch is dropped so the balance
-    invariant stays exact. ``dataset`` may be anything with ``.samples``
-    or a plain sequence of identity labels.
+    invariant stays exact.
     """
-    labels = _labels_of(dataset)
+    labels = dataset.labels()
     idx = np.asarray(include if include is not None else np.arange(len(labels)), dtype=np.intp)
     if batch_size < 2 or batch_size % 2 != 0:
         raise ConfigError(f"batch_size must be an even number >= 2, got {batch_size}")
@@ -82,11 +82,3 @@ def balanced_batches(dataset, batch_size: int, seed: int, *,
                 (int(i), int(j)) for i in chunk for j in chunk
                 if labels[i] != labels[j])
         yield BatchPlan(matched, mismatched, batch_size, balanced=balanced)
-
-
-def _labels_of(dataset) -> np.ndarray:
-    if hasattr(dataset, "labels"):
-        return np.asarray(dataset.labels(), dtype=np.intp)
-    if hasattr(dataset, "samples"):
-        return np.array([s.identity_id for s in dataset.samples], dtype=np.intp)
-    return np.asarray(list(dataset), dtype=np.intp)

@@ -20,13 +20,12 @@ import numpy as np
 from .dataset import SyntheticDataset, _Reader, identity_split, write_atomic
 from .encoders import EncoderConfig
 from .errors import ConfigError, DataError, NumericalError
-from .losses import LossWeights
 from .model import Model, ModelFlags, param_shapes
 from .numerics import GradTape, backward
 from .sampling import balanced_batches
 
 _CKPT_MAGIC = b"FPMCKPT1"
-_CKPT_VERSION = 3
+_CKPT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -38,7 +37,6 @@ class TrainConfig:
     batch_size: int = 64
     seed: int = 0
     flags: ModelFlags = field(default_factory=ModelFlags)
-    weights: LossWeights = field(default_factory=LossWeights)
     balanced_sampling: bool = True
     val_fraction: float = 0.1
     val_every: int = 0              # epochs between validation passes; 0 = never
@@ -66,7 +64,6 @@ class TrainConfig:
     def from_json(cls, doc: dict) -> "TrainConfig":
         doc = dict(doc)
         doc["flags"] = ModelFlags(**doc["flags"])
-        doc["weights"] = LossWeights(**doc["weights"])
         return cls(**doc)
 
 
@@ -154,8 +151,7 @@ def train(dataset: SyntheticDataset, config: TrainConfig, *,
         raise ConfigError("empty training split")
 
     if start is None:
-        params = None
-        model = Model(dataset.config, config.flags, config.weights, params, seed=config.seed)
+        model = Model(dataset.config, config.flags, seed=config.seed)
         state = AdamState.zeros_like(model.params)
         master = np.random.default_rng(config.seed)
         first_epoch = 0
@@ -163,8 +159,8 @@ def train(dataset: SyntheticDataset, config: TrainConfig, *,
     else:
         if start.encoder_config != dataset.config:
             raise ConfigError("checkpoint was trained with a different encoder config")
-        model = Model(dataset.config, config.flags, config.weights,
-                      {k: v.copy() for k, v in start.params.items()}, seed=config.seed)
+        model = Model(dataset.config, config.flags,
+                      params={k: v.copy() for k, v in start.params.items()}, seed=config.seed)
         state = AdamState({k: v.copy() for k, v in start.adam_m.items()},
                           {k: v.copy() for k, v in start.adam_v.items()}, start.adam_t)
         master = np.random.default_rng(config.seed)
@@ -313,8 +309,8 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> Model:
-    return Model(ckpt.encoder_config, ckpt.train_config.flags, ckpt.train_config.weights,
-                 {k: v.copy() for k, v in ckpt.params.items()},
+    return Model(ckpt.encoder_config, ckpt.train_config.flags,
+                 params={k: v.copy() for k, v in ckpt.params.items()},
                  seed=ckpt.train_config.seed)
 
 
@@ -333,9 +329,13 @@ class GradCheckReport:
         return asdict(self)
 
 
+# gradcheck's central-difference step, its sampling seed, and the offsets it tries per
+# coordinate before a kink-straddling probe counts as a failure
+_GRADCHECK_H, _GRADCHECK_SEED, _GRADCHECK_ATTEMPTS = 1e-5, 0, 5
+
+
 def gradcheck(dataset: SyntheticDataset, config: TrainConfig, *, tolerance: float = 1e-5,
-              coords_per_param: int = 4, h: float = 1e-5, seed: int = 0,
-              attempts: int = 5) -> GradCheckReport:
+              coords_per_param: int = 4) -> GradCheckReport:
     """Compare tape gradients of the batch loss against central differences.
 
     Random coordinates are sampled from every parameter group. Each
@@ -343,12 +343,12 @@ def gradcheck(dataset: SyntheticDataset, config: TrainConfig, *, tolerance: floa
     the analytic gradient recomputed at the probe point; when a probe
     straddles a hinge/argmax kink (where one-sided differences disagree by
     construction) the coordinate is redrawn at a different offset, up to
-    ``attempts`` times. A genuine gradient bug fails at every offset.
+    ``_GRADCHECK_ATTEMPTS`` times. A genuine gradient bug fails at every offset.
     """
-    rng = np.random.default_rng(seed)
-    model = Model(dataset.config, config.flags, config.weights, seed=config.seed)
+    rng = np.random.default_rng(_GRADCHECK_SEED)
+    model = Model(dataset.config, config.flags, seed=config.seed)
     batch = min(config.batch_size, 2 * (len(dataset.samples) // 2), 8)
-    plan = next(iter(balanced_batches(dataset, batch, seed,
+    plan = next(iter(balanced_batches(dataset, batch, _GRADCHECK_SEED,
                                       balanced=config.balanced_sampling)))
 
     def with_coord(name: str, flat_index: int, value: float) -> dict[str, np.ndarray]:
@@ -357,13 +357,12 @@ def gradcheck(dataset: SyntheticDataset, config: TrainConfig, *, tolerance: floa
         return probe
 
     def loss_at(params: dict[str, np.ndarray]) -> float:
-        t, _, _ = Model(dataset.config, config.flags, config.weights, params,
+        t, _, _ = Model(dataset.config, config.flags, params=params,
                         seed=config.seed).batch_loss(dataset, plan, None)
         return t.item()
 
     def analytic_at(params: dict[str, np.ndarray], name: str, flat_index: int) -> float:
-        probe_model = Model(dataset.config, config.flags, config.weights, params,
-                            seed=config.seed)
+        probe_model = Model(dataset.config, config.flags, params=params, seed=config.seed)
         tape = GradTape()
         total, _, bound = probe_model.batch_loss(dataset, plan, tape)
         grads = backward(total, tape)
@@ -379,14 +378,14 @@ def gradcheck(dataset: SyntheticDataset, config: TrainConfig, *, tolerance: floa
         for flat in picks:
             base = arr.reshape(-1)[int(flat)]
             best = np.inf
-            for attempt in range(attempts):
+            for attempt in range(_GRADCHECK_ATTEMPTS):
                 offset = 0.0 if attempt == 0 else float(rng.uniform(-0.03, 0.03))
                 point = base + offset
                 params = with_coord(name, int(flat), point)
                 an = analytic_at(params, name, int(flat))
-                up = loss_at(with_coord(name, int(flat), point + h))
-                down = loss_at(with_coord(name, int(flat), point - h))
-                fd = (up - down) / (2 * h)
+                up = loss_at(with_coord(name, int(flat), point + _GRADCHECK_H))
+                down = loss_at(with_coord(name, int(flat), point - _GRADCHECK_H))
+                fd = (up - down) / (2 * _GRADCHECK_H)
                 rel = float(abs(an - fd) / max(abs(an), abs(fd), 1e-8))
                 best = min(best, rel)
                 if best <= tolerance:

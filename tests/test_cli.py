@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 
 from fpmine.cli import (DATA_KEYS, ENCODER_KEYS, FLAG_KEYS, GEN_KEYS, MODEL_KEYS, TRAIN_KEYS,
-                        WEIGHT_KEYS, _collect_settings, build_configs, build_parser, main,
-                        parse_config_file)
+                        _collect_settings, build_configs, build_parser, main, parse_config_file)
 from fpmine.dataset import write_atomic
 from fpmine.training import _CKPT_VERSION, load_checkpoint, train
 
-CONFIG_KEYS = ENCODER_KEYS + TRAIN_KEYS + FLAG_KEYS + WEIGHT_KEYS + GEN_KEYS
+CONFIG_KEYS = ENCODER_KEYS + TRAIN_KEYS + FLAG_KEYS + GEN_KEYS
 
 # tiny profile so CLI runs stay fast: gen-data reads the first, train and ablate the second
 DATA_CONFIG_TEXT = """
@@ -90,7 +89,10 @@ class TestConfigParsing:
                                      "lr_decay_every", "lr_decay_factor",
                                      "word_loss_reduction", "extra_token_max",
                                      "extra_token_pool", "matched_slope", "mismatched_slope",
-                                     "w_word", "w_identity", "w_ranking"])
+                                     "w_word", "w_identity", "w_ranking", "matched_bias",
+                                     "mismatched_bias", "identity_local_weight",
+                                     "ranking_margin", "ranking_local_weight",
+                                     "ranking_localneg_weight"])
     def test_removed_key_is_unknown(self, tmp_path, capsys, key):
         p = tmp_path / "c.cfg"
         p.write_text(f"{key} = 1.0\n")
@@ -113,7 +115,7 @@ class TestConfigParsing:
     @staticmethod
     def flatten(encoder, tc, gen) -> dict:
         train = asdict(tc)
-        return {**asdict(encoder), **train.pop("flags"), **train.pop("weights"), **train, **gen}
+        return {**asdict(encoder), **train.pop("flags"), **train, **gen}
 
     @staticmethod
     def other(value):
@@ -237,8 +239,7 @@ class TestTrainEval:
         assert ckpt.step == 0
         from fpmine.model import Model
 
-        fresh = Model(ckpt.encoder_config, ckpt.train_config.flags,
-                      ckpt.train_config.weights, seed=ckpt.train_config.seed)
+        fresh = Model(ckpt.encoder_config, ckpt.train_config.flags, seed=ckpt.train_config.seed)
         for name, arr in fresh.params.items():
             assert np.array_equal(ckpt.params[name], arr)
 
@@ -315,7 +316,7 @@ class TestTrainEval:
         assert main(["train", "--config", config_file, "--epochs", "0",
                      "--data", str(data_dir / "dataset.bin"), "--out", str(run)]) == 0
         blob = bytearray((run / "checkpoint.bin").read_bytes())
-        for version in (1, 2):
+        for version in (1, 2, 3):
             blob[8:12] = struct.pack("<I", version)
             old = tmp_path / f"v{version}.bin"
             old.write_bytes(bytes(blob))
