@@ -5,7 +5,9 @@ pair - global, local, and mined negative word evidence - and trains them
 jointly with hinge, identity, and ranking objectives on balanced batches.
 Everything runs on a small reverse-mode autodiff tape over numpy arrays.
 
-Importing the package pins numpy's BLAS to one thread (see ``numerics.blas_threads``).
+Importing the package pins numpy's BLAS to one thread (see ``numerics.blas_threads``)
+and sets glibc's malloc thresholds so that the memory a training step frees stays in the
+process for the next step, not faulted in afresh (see the comment in ``numerics``).
 """
 
 from .dataset import (SyntheticDataset, export_json, generate_synthetic_dataset,

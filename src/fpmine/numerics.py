@@ -60,6 +60,23 @@ if _setter is not None:
     _setter.restype, _setter.argtypes = None, [ctypes.c_int]
     _setter(1)
 
+# glibc's malloc keeps the memory a training step frees for the next one. By default it
+# trims the top of the heap on free, so each step on the acceptance profile faulted its
+# tape arrays in afresh: 234-347 minor faults per step. The heap now grows and trims 16 MiB
+# beyond what it needs, and blocks under 1 MiB come from it: 1.0-2.2 faults per step (the
+# pad alone 1.0-3.0, the threshold alone 293; a 256 MiB trim threshold on top changed
+# nothing, so it is not set). Blocks of 1 MiB and up that do not fit the heap, such as
+# evaluation's workspace, still come from mmap and go back on free. Thresholds of 256 KiB,
+# 1 MiB and 4 MiB gave 1.4-2.7, 1.0-2.2 and 3.4 faults per step; 4 MiB also kept
+# evaluation's workspace (an n = 600 evaluation took 650 faults, not 7000-9000). A C
+# library without mallopt keeps its own policy.
+_M_TOP_PAD, _M_MMAP_THRESHOLD = -2, -3
+_mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+if _mallopt is not None:
+    _mallopt.restype, _mallopt.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_int]
+    _mallopt(_M_MMAP_THRESHOLD, 1 << 20)
+    _mallopt(_M_TOP_PAD, 16 << 20)
+
 _DEBUG_CHECKS = False
 
 
@@ -170,9 +187,6 @@ class Tensor:
 
     def max(self, axis: int = 0, keepdims: bool = False) -> "Tensor":
         return reduce_max(self, axis=axis, keepdims=keepdims)
-
-    def min(self, axis: int = 0, keepdims: bool = False) -> "Tensor":
-        return neg(reduce_max(neg(self), axis=axis, keepdims=keepdims))
 
     def mean(self, axis=None) -> "Tensor":
         return mean(self, axis=axis)
@@ -630,7 +644,7 @@ def linear(x, w, b=None) -> Tensor:
             or x.shape[1:-1] not in ((), w.shape[:-2])
             or b is not None and b.shape != w.shape[:-1]):
         raise ShapeError(f"linear cannot apply {w.shape} weights to inputs {x.shape}")
-    xd, wd = x.data, w.data
+    xd, wd, const_x = x.data, w.data, x.tape is None
     xk = xd.swapaxes(0, 1) if xd.ndim == 3 else xd  # (K, n, C) per strip, or (n, C)
     out = np.matmul(xk, wd.swapaxes(-1, -2))
     if wd.ndim == 3:
@@ -640,13 +654,15 @@ def linear(x, w, b=None) -> Tensor:
 
     def bw(g):
         g = np.asarray(g)
-        if wd.ndim == 2:
-            gx, gw = g @ wd, (xd.T @ g).T
+        gk = g.swapaxes(0, 1) if wd.ndim == 3 else None  # (K, n, P)
+        gw = (xd.T @ g).T if gk is None else np.matmul(gk.swapaxes(1, 2), xk)
+        if const_x:  # an input no tape records, such as raw features, takes no gradient
+            gx = None
+        elif gk is None:
+            gx = g @ wd
         else:
-            gk = g.swapaxes(0, 1)  # (K, n, P)
             gx = (np.matmul(gk, wd).swapaxes(0, 1) if xd.ndim == 3
                   else np.reshape(g, (xd.shape[0], -1)) @ wd.reshape((-1, xd.shape[1])))
-            gw = np.matmul(gk.swapaxes(1, 2), xk)
         return (gx, gw) if b is None else (gx, gw, np.sum(g, axis=0))
 
     return _emit(out, (x, w) if b is None else (x, w, b), bw)

@@ -67,18 +67,39 @@ class TrainConfig:
         return cls(**doc)
 
 
+def _flatten(arrays: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """A fresh float64 vector holding ``arrays`` back to back, and each one's view of it."""
+    flat = np.concatenate([np.ravel(a) for a in arrays.values()], dtype=np.float64)
+    views, start = {}, 0
+    for name, a in arrays.items():
+        size = np.size(a)
+        views[name] = flat[start:start + size].reshape(np.shape(a))
+        start += size
+    return flat, views
+
+
 @dataclass
 class AdamState:
-    """First/second moment estimates plus the shared step counter."""
+    """First/second moment estimates plus the shared step counter.
+
+    Each moment is one flat float64 vector (``flat_m``, ``flat_v``), copied from the
+    dicts given; ``m[name]`` and ``v[name]`` are views of it, which ``adam_step``
+    updates in place."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
+    flat_m: np.ndarray = field(init=False, repr=False)
+    flat_v: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.flat_m, self.m = _flatten(self.m)
+        self.flat_v, self.v = _flatten(self.v)
 
     @classmethod
     def zeros_like(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls({k: np.zeros_like(v) for k, v in params.items()},
-                   {k: np.zeros_like(v) for k, v in params.items()}, 0)
+        zeros = {k: np.zeros(np.shape(v)) for k, v in params.items()}
+        return cls(zeros, zeros, 0)
 
 
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
@@ -94,6 +115,10 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     shared step counter after incrementing. The constants are Adam's
     published defaults: beta1 = 0.9, beta2 = 0.999, eps = 1e-8.
 
+    The update runs once over the state's flat vectors, in the order of
+    ``state.m``; the new parameters are views of one fresh vector, and no
+    array of ``params`` or ``grads`` is written.
+
     A zero gradient leaves the parameter unchanged only while both moments
     are still zero (a fresh state). Once earlier steps have filled them, a
     zero gradient decays m by beta1 and v by beta2, and the parameter keeps
@@ -103,15 +128,23 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     """
     state.t += 1
     t = state.t
-    out: dict[str, np.ndarray] = {}
-    for name, p in params.items():
-        g = grads[name]
-        state.m[name] = _BETA1 * state.m[name] + (1.0 - _BETA1) * g
-        state.v[name] = _BETA2 * state.v[name] + (1.0 - _BETA2) * (g * g)
-        m_hat = state.m[name] / (1.0 - _BETA1 ** t)
-        v_hat = state.v[name] / (1.0 - _BETA2 ** t)
-        out[name] = p - lr * m_hat / (np.sqrt(v_hat) + _EPS)
-    return out
+    m, v = state.flat_m, state.flat_v
+    g, _ = _flatten({name: grads[name] for name in state.m})
+    m *= _BETA1
+    m += (1.0 - _BETA1) * g
+    v *= _BETA2
+    g *= g
+    g *= 1.0 - _BETA2
+    v += g
+    step = m / (1.0 - _BETA1 ** t)
+    denom = v / (1.0 - _BETA2 ** t)
+    np.sqrt(denom, out=denom)
+    denom += _EPS
+    step *= lr
+    step /= denom
+    p, out = _flatten({name: params[name] for name in state.m})
+    p -= step
+    return {name: out[name] for name in params}
 
 
 @dataclass
@@ -161,8 +194,7 @@ def train(dataset: SyntheticDataset, config: TrainConfig, *,
             raise ConfigError("checkpoint was trained with a different encoder config")
         model = Model(dataset.config, config.flags,
                       params={k: v.copy() for k, v in start.params.items()}, seed=config.seed)
-        state = AdamState({k: v.copy() for k, v in start.adam_m.items()},
-                          {k: v.copy() for k, v in start.adam_v.items()}, start.adam_t)
+        state = AdamState(start.adam_m, start.adam_v, start.adam_t)
         master = np.random.default_rng(config.seed)
         master.bit_generator.state = start.rng_state
         first_epoch = start.epoch

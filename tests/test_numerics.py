@@ -421,6 +421,23 @@ class TestLinear:
     def test_one_tape_node(self, bias):
         assert nodes_of(nm.linear, *self.arrays(bias)) == 1
 
+    @pytest.mark.parametrize("shapes", [((5, 4), (3, 4)), ((5, 2, 4), (2, 3, 4)),
+                                        ((5, 4), (2, 3, 4))])
+    def test_constant_input_gets_no_gradient(self, shapes):
+        # raw features enter the embedding layers untaped; their product with g is waste
+        rng = np.random.default_rng(27)
+        x, w = (rng.normal(size=s) for s in shapes)
+        g = rng.normal(size=(5,) + w.shape[:-1])
+        grads = []
+        for taped_x in (False, True):
+            tape = GradTape()
+            wt = tape.leaf(w)
+            out = nm.linear(tape.leaf(x) if taped_x else Tensor(x), wt)
+            grads.append(tape._backwards[out.tid](g))
+        (gx_const, gw_const), (gx, gw) = grads
+        assert gx_const is None and gx.shape == x.shape
+        assert gw_const.tobytes() == gw.tobytes()
+
 
 class TestStripHeads:
     """All K strip heads at once: ``linear`` with a (K, P, C) weight."""
