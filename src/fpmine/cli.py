@@ -137,7 +137,7 @@ def write_manifest(run_dir: Path, command: str, resolved: dict, inputs: list[Pat
 
 
 def _write_json(path: Path, doc) -> None:
-    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True))
+    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
 
 
 # ------------------------------------------------------------------- commands
@@ -209,7 +209,8 @@ def cmd_eval(args) -> int:
                 model, dataset.samples[img_idx], dataset.samples[txt_idx]))
         _write_json(run_dir / "report.json",
                     {"mining_activity": activity, "evidence": evidence})
-        print(f"mining active on {100 * activity['mismatched_active_fraction']:.1f}% "
+        active = activity["mismatched_active_fraction"]
+        print(f"mining active on {'n/a' if active is None else f'{100 * active:.1f}%'} "
               f"of mismatched validation pairs; report at {run_dir / 'report.json'}")
     return EXIT_OK
 

@@ -151,7 +151,7 @@ def generate_synthetic_dataset(seed: int, identity_count: int, samples_per_ident
     def place_random(ident: int) -> np.ndarray:
         for _ in range(10000):
             vec = rng.choice([-1.0, 1.0], size=attribute_count)
-            if all((vec != attrs[j]).sum() >= min_hamming for j in range(ident)):
+            if ((vec != attrs[:ident]).sum(axis=1) >= min_hamming).all():
                 return vec
         raise ConfigError(
             f"cannot place {identity_count} identities with pairwise Hamming "
@@ -160,15 +160,15 @@ def generate_synthetic_dataset(seed: int, identity_count: int, samples_per_ident
 
     for ident in range(identity_count):
         # twins come in pairs: a parent that is itself not twin-linked
-        roots = [j for j in range(ident) if twin_parent[j] == -1 and not has_twin[j]]
+        roots = np.flatnonzero((twin_parent[:ident] == -1) & ~has_twin[:ident])
         twin_vec = None
-        if roots and rng.random() < hard_negative_fraction:
-            parent = roots[int(rng.integers(len(roots)))]
+        if roots.size and rng.random() < hard_negative_fraction:
+            parent = int(roots[rng.integers(roots.size)])
             for _ in range(100):
                 flips = rng.choice(flip_pool, size=flip_count, replace=False)
                 vec = attrs[parent].copy()
                 vec[flips] *= -1.0
-                if all((vec != attrs[j]).any() for j in range(ident)):
+                if (vec != attrs[:ident]).any(axis=1).all():
                     twin_vec = vec
                     break
         if twin_vec is not None:

@@ -97,15 +97,20 @@ _INACTIVE = {"enabled": False, "mismatched_active_fraction": 0.0,
              "mean_negative_matched": 0.0}
 
 
+def _mean(values: np.ndarray) -> float | None:
+    """The mean, or None over no values (a split of one identity has no mismatched pair)."""
+    return float(values.mean()) if values.size else None
+
+
 def _activity(negative: np.ndarray, ids: np.ndarray) -> dict:
     mismatched = ids[:, None] != ids[None, :]
     matched = ~mismatched
     return {
         "enabled": True,
-        "mismatched_active_fraction": float((negative[mismatched] < 0).mean()),
-        "matched_active_fraction": float((negative[matched] < 0).mean()),
-        "mean_negative_mismatched": float(negative[mismatched].mean()),
-        "mean_negative_matched": float(negative[matched].mean()),
+        "mismatched_active_fraction": _mean(negative[mismatched] < 0),
+        "matched_active_fraction": _mean(negative[matched] < 0),
+        "mean_negative_mismatched": _mean(negative[mismatched]),
+        "mean_negative_matched": _mean(negative[matched]),
     }
 
 
@@ -120,7 +125,8 @@ def mining_activity(model: Model, dataset: SyntheticDataset, indices) -> dict:
     """How often the mining branch fires on a split.
 
     Reports the fraction of cross-identity (image, text) pairs with
-    strictly negative summed evidence, and the same for matched pairs.
+    strictly negative summed evidence, and the same for matched pairs; a
+    fraction or mean over no pairs is None.
     """
     if not model.flags.use_mining:
         return dict(_INACTIVE)

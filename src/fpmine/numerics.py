@@ -617,18 +617,25 @@ def max_cosine(a, b, groups: int, out=None) -> Tensor:
     cos, (na, da, nb, db) = _cosine_forward(a2, b2, groups, win, _into(out, a, b))
 
     def bw(g):
+        # Work only on the cells with gradient: the mining mask and the word hinges leave
+        # well under 1 % of the word-score cells nonzero. Each cell goes to its winning row
+        # r of a and lands in H, (rows of a) x (rows of b with gradient), so each side's
+        # gradient takes one product with H.
         g = np.reshape(g, cos.shape)
-        if cos.min() <= -1.0 or cos.max() >= 1.0:  # clamped entries pass no gradient
-            g = g * (np.abs(cos) < 1.0)
-        a3, da2 = a2.reshape((-1, groups, a2.shape[1])), da.reshape((-1, groups))
-        ca = np.where(na > NORM_EPS, 1.0 / (da * da), 0.0).reshape(da2.shape)
-        cb = np.where(nb > NORM_EPS, 1.0 / (db * db), 0.0)
-        bs, ga, gb = b2 / db[:, None], np.empty(a3.shape), 0.0
-        for k in range(groups):  # each member takes the maxima it won
-            gk, ak, dak = g * (win == k), a3[:, k], da2[:, k:k + 1]
-            ga[:, k] = gk @ bs / dak - (np.einsum("ij,ij->i", gk, cos) * ca[:, k])[:, None] * ak
-            gb = gb + (ak / dak).T @ gk
-        gb = gb.T / db[:, None] - (np.einsum("ij,ij->j", g, cos) * cb)[:, None] * b2
+        i, j = np.divmod(np.flatnonzero(g != 0), cos.shape[1])
+        cc = cos[i, j]
+        keep = np.abs(cc) < 1.0  # a clamped cosine passes no gradient
+        i, j, cc = i[keep], j[keep], cc[keep]
+        r, gc = i * groups + win[i, j], g[i, j]
+        cols, jc = np.unique(j, return_inverse=True)
+        bc, dbc = b2[cols], db[cols]
+        H = np.zeros((len(a2), len(cols)))
+        H[r, jc] = gc / (da[r] * dbc[jc])
+        ca = np.where(na > NORM_EPS, 1.0 / (da * da), 0.0)  # a floored norm drops its own term
+        cb = np.where(nb[cols] > NORM_EPS, 1.0 / (dbc * dbc), 0.0)
+        ga = H @ bc - (np.bincount(r, gc * cc, len(a2)) * ca)[:, None] * a2
+        gb = np.zeros(b2.shape)
+        gb[cols] = H.T @ a2 - (np.bincount(jc, gc * cc, len(cols)) * cb)[:, None] * bc
         return ga.reshape(a.shape), gb.reshape(b.shape)
 
     return _emit(cos.reshape(rows if a.ndim == 2 else ()), (a, b), bw)

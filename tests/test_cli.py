@@ -3,6 +3,7 @@
 import json
 import re
 import struct
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -192,6 +193,29 @@ class TestTrainEval:
         assert set(results["r_at"]) == {"1", "5", "10"}
         report = json.loads((ev / "report.json").read_text())
         assert "mining_activity" in report
+
+    def test_eval_report_over_one_identity_is_valid_json(self, tmp_path, capsys):
+        # a validation split of one identity has no mismatched pair to take a mean over
+        data, run, ev = tmp_path / "data", tmp_path / "run", tmp_path / "eval"
+        assert main(["gen-data", "--identities", "3", "--per-identity", "4",
+                     "--out", str(data)]) == 0
+        assert main(["train", "--data", str(data / "dataset.bin"), "--epochs", "1",
+                     "--batch-size", "4", "--val-fraction", "0.2", "--out", str(run)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", "--checkpoint", str(run / "checkpoint.bin"), "--data",
+                         str(data / "dataset.bin"), "--report", "--out", str(ev)]) == 0
+        assert "mining active on n/a of mismatched validation pairs" in capsys.readouterr().out
+
+        def refuse(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        activity = json.loads((ev / "report.json").read_text(),
+                              parse_constant=refuse)["mining_activity"]
+        assert activity["mismatched_active_fraction"] is None
+        assert activity["mean_negative_mismatched"] is None
+        assert 0.0 <= activity["matched_active_fraction"] <= 1.0
 
     def test_eval_report_scores_split_once(self, tmp_path, config_file, data_dir, monkeypatch):
         from fpmine.dataset import identity_split, load_dataset

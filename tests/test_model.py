@@ -1,10 +1,15 @@
 """Batched model path vs per-pair calls and numpy oracles, plus flag semantics."""
 
+import itertools
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from test_numerics import dense_max_cosine_grads
 
 from fpmine import losses as ls
 from fpmine import model as model_module
+from fpmine import numerics as nm
 from fpmine.dataset import generate_synthetic_dataset
 from fpmine.encoders import (EncoderConfig, encode_image, encode_images_batch, encode_text,
                              encode_texts_batch)
@@ -347,6 +352,60 @@ class TestWordHingesAgainstNumpyOracle:
             assert report.matched == pytest.approx(matched, rel=1e-12, abs=1e-12)
             assert report.mismatched == pytest.approx(mismatched, rel=1e-12, abs=1e-12)
             assert report.identity == pytest.approx(identity, rel=1e-12, abs=1e-12)
+
+
+def valid_flag_sets():
+    sets = []
+    for values in itertools.product((True, False), repeat=len(fields(ModelFlags))):
+        try:
+            sets.append(ModelFlags(*values))
+        except ConfigError:
+            pass
+    return sets
+
+
+class TestGradientsAgainstDenseMaxCosineRule:
+    """``batch_loss`` leaf gradients under the sparse ``max_cosine`` backward equal those
+    of the dense rule it replaced, to 1e-13 of each tensor's largest entry."""
+
+    @staticmethod
+    def dense_rule(real):
+        def max_cosine(a, b, groups, out=None):
+            res = real(a, b, groups, out)
+            if res.tape is not None:
+                a2, b2 = a.data.reshape((-1, a.shape[-1])), b.data.reshape((-1, b.shape[-1]))
+
+                def bw(g):
+                    g = np.reshape(g, (len(a2) // groups, len(b2)))
+                    ga, gb = dense_max_cosine_grads(a2, b2, groups, g)
+                    return ga.reshape(a.shape), gb.reshape(b.shape)
+
+                res.tape._backwards[res.tid] = bw
+            return res
+
+        return max_cosine
+
+    @staticmethod
+    def leaf_grads(model, ds, plan):
+        tape = GradTape()
+        total, _, bound = model.batch_loss(ds, plan, tape)
+        grads = backward(total, tape)
+        return {name: grads[leaf].data for name, leaf in bound.items()}
+
+    @pytest.mark.parametrize("flags", valid_flag_sets(), ids=lambda f: "".join(
+        str(int(getattr(f, x.name))) for x in fields(f)))
+    def test_leaf_gradients(self, monkeypatch, flags):
+        ds = toy_dataset(seed=2)
+        model = Model(CFG, flags, seed=5)
+        for plan in list(balanced_batches(ds, 6, seed=1))[:2]:
+            sparse = self.leaf_grads(model, ds, plan)
+            with monkeypatch.context() as m:
+                m.setattr(nm, "max_cosine", self.dense_rule(nm.max_cosine))
+                dense = self.leaf_grads(model, ds, plan)
+            assert any(g.any() for g in dense.values())
+            for name, g in dense.items():
+                np.testing.assert_allclose(sparse[name], g, rtol=0,
+                                           atol=1e-13 * np.abs(g).max(), err_msg=name)
 
 
 class TestTapeSize:

@@ -165,22 +165,36 @@ class TestCosine:
         assert grads[b].data.tolist() == [[0.0, 0.0]]
 
     def test_row_stack_gradient_bit_identical_to_closed_form(self):
-        # groups of one keep the arithmetic of the dense rule, written out here
+        # groups of one: the sparse rule written out. H is g / (|a_i| |b_j|) on the columns
+        # that carry gradient; each row's and each column's sum of g * cos runs in cell order.
         rng = np.random.default_rng(6)
-        a, b, w = rng.normal(size=(5, 4)), rng.normal(size=(3, 4)), rng.normal(size=(5, 3))
+        a, b, w = rng.normal(size=(5, 4)), rng.normal(size=(4, 4)), rng.normal(size=(5, 4))
         a[1], a[2] = 0.0, 2.0 * b[0]                     # a floored norm and a clamped +1
+        w[3, 1], w[:, 2] = 0.0, 0.0                      # cells and a column without gradient
         na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
         da, db = np.maximum(na, nm.NORM_EPS), np.maximum(nb, nm.NORM_EPS)
         cos = np.clip(a @ b.T / da[:, None] / db, -1.0, 1.0)
-        g = w * (np.abs(cos) < 1.0)
-        ca = np.where(na > nm.NORM_EPS, 1 / da ** 2, 0.0)
-        ga = g @ (b / db[:, None]) / da[:, None]
-        ga -= (np.einsum("ij,ij->i", g, cos) * ca)[:, None] * a
-        gb = ((a / da[:, None]).T @ g).T / db[:, None]
-        gb -= (np.einsum("ij,ij->j", g, cos) * (1 / db ** 2))[:, None] * b
+        g = np.where(np.abs(cos) < 1.0, w, 0.0)
+        assert g[2, 0] == 0.0 and w[2, 0] != 0.0
+        cols = np.flatnonzero(g.any(axis=0))
+        H, bc, dc = g[:, cols] / (da[:, None] * db[cols]), b[cols], db[cols]
+        row_gcos = np.array([sum(g[i, j] * cos[i, j] for j in cols if g[i, j]) for i in range(5)])
+        col_gcos = np.array([sum(g[i, j] * cos[i, j] for i in range(5) if g[i, j]) for j in cols])
+        ca = np.where(na > nm.NORM_EPS, 1 / (da * da), 0.0)
+        cb = np.where(nb[cols] > nm.NORM_EPS, 1 / (dc * dc), 0.0)
+        ga = H @ bc - (row_gcos * ca)[:, None] * a
+        gb = np.zeros_like(b)
+        gb[cols] = H.T @ a - (col_gcos * cb)[:, None] * bc
         got = grad_of(lambda x, y: (nm.cosine(x, y) * w).sum(), a, b)
         np.testing.assert_array_equal(got[0], ga)
         np.testing.assert_array_equal(got[1], gb)
+        # the dense rule it replaced sums the same terms in another order
+        dense_ga = g @ (b / db[:, None]) / da[:, None]
+        dense_ga -= (np.einsum("ij,ij->i", g, cos) * ca)[:, None] * a
+        dense_gb = ((a / da[:, None]).T @ g).T / db[:, None]
+        dense_gb -= (np.einsum("ij,ij->j", g, cos) * (1 / db ** 2))[:, None] * b
+        np.testing.assert_allclose(got[0], dense_ga, rtol=1e-13)
+        np.testing.assert_allclose(got[1], dense_gb, rtol=1e-13)
 
     def test_untaped_forward_holds_one_output_buffer(self):
         import tracemalloc
@@ -378,6 +392,132 @@ class TestMaxCosine:
         rng = np.random.default_rng(29)
         assert nodes_of(lambda x, y: nm.max_cosine(x, y, 2), rng.normal(size=(4, 3)),
                         rng.normal(size=(5, 3))) == 1
+
+
+def dense_max_cosine_grads(a, b, groups, g):
+    """The dense backward rule ``max_cosine`` had before its sparse one: for each group
+    member, a masked pass over every cell and two gemms."""
+    win = np.zeros((len(a) // groups, len(b)), np.uint8)
+    cos, (na, da, nb, db) = nm._cosine_forward(a, b, groups, win, None)
+    g = g * (np.abs(cos) < 1.0)
+    a3, da2 = a.reshape((-1, groups, a.shape[1])), da.reshape((-1, groups))
+    ca = np.where(na > nm.NORM_EPS, 1.0 / (da * da), 0.0).reshape(da2.shape)
+    cb = np.where(nb > nm.NORM_EPS, 1.0 / (db * db), 0.0)
+    bs, ga, gb = b / db[:, None], np.empty(a3.shape), 0.0
+    for k in range(groups):
+        gk, ak, dak = g * (win == k), a3[:, k], da2[:, k:k + 1]
+        ga[:, k] = gk @ bs / dak - (np.einsum("ij,ij->i", gk, cos) * ca[:, k])[:, None] * ak
+        gb = gb + (ak / dak).T @ gk
+    gb = gb.T / db[:, None] - (np.einsum("ij,ij->j", g, cos) * cb)[:, None] * b
+    return ga.reshape(a.shape), gb
+
+
+def rule_of(out):
+    """The backward rule recorded for the op that made ``out``."""
+    return out.tape._backwards[out.tid]
+
+
+class TestSparseMaxCosineRule:
+    """The backward rule works only on the cells with gradient; the dense rule it
+    replaced (above) is the reference."""
+
+    @staticmethod
+    def inputs(groups):
+        rng = np.random.default_rng(40)
+        n, m, d = 12, 180, 5                       # 2160 cells
+        a, b = rng.normal(size=(n * groups, d)), rng.normal(size=(m, d))
+        a[3], b[7] = 0.0, 0.0                      # rows on the norm floor
+        b[5], b[9] = [1.0, 2.0, 2.0, 0.0, 0.0], [0.0, 3.0, 0.0, 4.0, 0.0]
+        a[groups], a[5 * groups] = 2.0 * b[5], -0.5 * b[9]      # cosines of exactly +-1
+        if groups > 1:
+            a[4 * groups + 1] = a[4 * groups]      # a tie between two regions
+        return a, b
+
+    @staticmethod
+    def upstream(cells, n, m, seed=41):
+        rng = np.random.default_rng(seed)
+        g = np.zeros(n * m)
+        g[rng.choice(n * m, size=cells, replace=False)] = rng.normal(size=cells)
+        return g.reshape((n, m))
+
+    @pytest.mark.parametrize("groups", [1, 6])
+    @pytest.mark.parametrize("cells", [1, 4, 130, 2160])   # one cell, 0.2 %, 6 %, dense
+    def test_equals_dense_rule(self, groups, cells):
+        a, b = self.inputs(groups)
+        g = self.upstream(cells, 12, 180)
+        tape = GradTape()
+        out = nm.max_cosine(tape.leaf(a), tape.leaf(b), groups)
+        got = rule_of(out)(g)
+        for x, want in zip(got, dense_max_cosine_grads(a, b, groups, g)):
+            np.testing.assert_allclose(x, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+            assert np.array_equal(x == 0, want == 0)
+
+    @pytest.mark.parametrize("groups", [1, 6])
+    def test_special_cells(self, groups):
+        # every floored, clamped and tied cell carries gradient
+        a, b = self.inputs(groups)
+        tape = GradTape()
+        out = nm.max_cosine(tape.leaf(a), tape.leaf(b), groups)
+        g = self.upstream(40, 12, 180)
+        g[:, [5, 7, 9]] = 1.0
+        g[:6] = 0.5
+        if groups == 1:
+            assert set(out.data[[1, 5], [5, 9]]) == {1.0, -1.0}
+        got = rule_of(out)(g)
+        for x, want in zip(got, dense_max_cosine_grads(a, b, groups, g)):
+            np.testing.assert_allclose(x, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+    def test_clamped_cells_pass_nothing(self):
+        a, b = self.inputs(1)
+        tape = GradTape()
+        out = nm.max_cosine(tape.leaf(a), tape.leaf(b), 1)
+        g = np.zeros(out.shape)
+        g[5, 9] = 3.0                              # clamped at -1
+        ga, gb = rule_of(out)(g)
+        assert out.data[5, 9] == -1.0
+        assert not ga.any() and not gb.any()
+
+    @pytest.mark.parametrize("groups", [1, 6])
+    def test_no_gradient_gives_exact_zeros(self, groups):
+        a, b = self.inputs(groups)
+        tape = GradTape()
+        out = nm.max_cosine(tape.leaf(a), tape.leaf(b), groups)
+        ga, gb = rule_of(out)(np.zeros(out.shape))
+        np.testing.assert_array_equal(ga, np.zeros_like(a))
+        np.testing.assert_array_equal(gb, np.zeros_like(b))
+
+    def test_tie_goes_to_the_lowest_region(self):
+        a, b = self.inputs(6)
+        tape = GradTape()
+        out = nm.max_cosine(tape.leaf(a), tape.leaf(b), 6)
+        g = np.zeros(out.shape)
+        g[4] = 1.0                                 # image 4, whose regions 0 and 1 tie
+        ga, _gb = rule_of(out)(g)
+        assert ga[24].any() and not ga[25].any()
+
+    def test_work_follows_the_gradient_not_the_matrix(self):
+        # a one-cell gradient: beyond its two outputs, the rule allocates one byte per
+        # cell (the scan for nonzero cells), so ten times the word rows adds only that
+        import tracemalloc
+
+        rng = np.random.default_rng(42)
+        n, groups, d = 4, 6, 24
+        a = rng.normal(size=(n * groups, d))
+        excess = {}
+        for m in (992, 9920):
+            tape = GradTape()
+            out = nm.max_cosine(tape.leaf(a), tape.leaf(rng.normal(size=(m, d))), groups)
+            g, rule = np.zeros(out.shape), rule_of(out)
+            g[1, 3] = 1.0
+            tracemalloc.start()
+            try:
+                ga, gb = rule(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert ga[6:12].any() and gb[3].any()
+            excess[m] = peak - ga.nbytes - gb.nbytes
+        assert excess[9920] <= excess[992] + n * (9920 - 992)
 
 
 class TestLinear:
