@@ -7,25 +7,27 @@ the result against central finite differences.
 import numpy as np
 
 from fpmine import GradTape, Tensor, backward, cosine, finite_difference_grad
+from fpmine.numerics import linear
 
 rng = np.random.default_rng(0)
 
 # trainable leaves live on a tape; constants are plain tensors
 tape = GradTape()
 w = tape.leaf(rng.normal(size=(3, 4)))
-x = Tensor(rng.normal(size=(4, 1)))
+x = Tensor(rng.normal(size=(1, 4)))
 
-h = (w @ x).reshape((3,))
+# linear(x, w) is the dense layer x @ w.T: one row in, one row of 3 out
+h = linear(x, w).reshape((3,))
 target = Tensor([1.0, 0.0, -1.0])
 score = cosine(h, target)
-print(f"cosine(w @ x, target) = {score.item():+.4f}")
+print(f"cosine(linear(x, w), target) = {score.item():+.4f}")
 
 grads = backward(score, tape)
 analytic = grads[w].numpy()
 
 
 def score_at(m):
-    hh = (Tensor(m) @ x).reshape((3,))
+    hh = linear(x, Tensor(m)).reshape((3,))
     return cosine(hh, target).item()
 
 

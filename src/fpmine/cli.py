@@ -60,7 +60,7 @@ def parse_config_file(path: Path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     text = path.read_text()
     stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if stripped.startswith(("{", "[")):
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -85,10 +85,7 @@ def parse_config_file(path: Path) -> dict:
 
 
 def build_configs(settings: dict) -> tuple[EncoderConfig, TrainConfig, dict]:
-    """Split a flat settings dict into encoder, training, and generator configs."""
-    unknown = set(settings) - set(DATA_KEYS + MODEL_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    """Split settings, whose keys ``_collect_settings`` checked, into the three configs."""
     try:
         encoder = EncoderConfig(**{k: settings[k] for k in ENCODER_KEYS if k in settings})
         flags = ModelFlags(**{k: settings[k] for k in FLAG_KEYS if k in settings})

@@ -10,6 +10,8 @@ matching engine needs:
 * text:  per-token features (C x length), K local embeddings derived from
   the pooled token features, and a pooled global embedding (P).
 
+Batches hold each sample's K local embeddings as one region-major K * P row.
+
 Padding positions in text batches are excluded from every pooling and
 reduction via explicit masks.
 """
@@ -92,7 +94,7 @@ class ImageEncodings:
     """Batched image representations (N samples)."""
 
     region_feats: Tensor   # (N, K, C)
-    local_embed: Tensor    # (N, K, P)
+    local_embed: Tensor    # (N, K * P), region-major
     global_embed: Tensor   # (N, P)
 
 
@@ -101,7 +103,7 @@ class TextEncodings:
     """Batched text representations (N samples, padded to a common length)."""
 
     word_feats: Tensor     # (N, L, C)
-    local_embed: Tensor    # (N, K, P)
+    local_embed: Tensor    # (N, K * P), region-major
     global_embed: Tensor   # (N, P)
     mask: np.ndarray       # (N, L) bool, True at valid tokens
     lengths: np.ndarray    # (N,)
@@ -128,18 +130,6 @@ def encoder_param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
             for name, dims in ENCODER_PARAM_SHAPES.items()}
 
 
-def init_encoder_params(config: EncoderConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Gaussian weights scaled by 1/sqrt(fan_in); zero biases."""
-    params: dict[str, np.ndarray] = {}
-    for name, shape in encoder_param_shapes(config).items():
-        if name.endswith("_b"):
-            params[name] = np.zeros(shape)
-        else:
-            fan_in = shape[-1]
-            params[name] = rng.normal(0.0, fan_in ** -0.5, shape)
-    return params
-
-
 def encode_images_batch(raws, params: Mapping[str, Tensor | np.ndarray],
                         config: EncoderConfig) -> ImageEncodings:
     """Encode a stack of raw image grids (N, K, image_raw_dim)."""
@@ -151,7 +141,8 @@ def encode_images_batch(raws, params: Mapping[str, Tensor | np.ndarray],
     flat = r.reshape((n * k, raw_dim))
     region_feats = nm.linear(flat, params["img_embed_w"], params["img_embed_b"]).reshape(
         (n, k, config.feature_dim))
-    local_embed = nm.linear(region_feats, params["img_local_w"], params["img_local_b"])
+    local_embed = nm.linear(region_feats, params["img_local_w"], params["img_local_b"]).reshape(
+        (n, k * config.shared_dim))
     pooled = region_feats.max(axis=1)
     global_embed = nm.linear(pooled, params["img_global_w"], params["img_global_b"])
     return ImageEncodings(region_feats, local_embed, global_embed)
@@ -175,7 +166,8 @@ def encode_texts_batch(raws, lengths, params: Mapping[str, Tensor | np.ndarray],
         (n, pad_len, config.feature_dim))
     mask = np.arange(pad_len)[None, :] < lengths[:, None]
     pooled = nm.masked_max(word_feats, mask[:, :, None], axis=1)
-    local_embed = nm.linear(pooled, params["txt_local_w"], params["txt_local_b"])
+    local_embed = nm.linear(pooled, params["txt_local_w"], params["txt_local_b"]).reshape(
+        (n, config.region_count * config.shared_dim))
     global_embed = nm.linear(pooled, params["txt_global_w"], params["txt_global_b"])
     return TextEncodings(word_feats, local_embed, global_embed, mask, lengths)
 

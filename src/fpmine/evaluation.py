@@ -157,7 +157,7 @@ def negative_evidence_report(model: Model, image_sample: Sample, text_sample: Sa
     bound = model.bind(None)
     img = encode_image(image_sample.image_raw, bound, model.config)
     txt = encode_text(text_sample.text_raw, bound, model.config)
-    tau = float(model.params["boundary_tau"]) if model.flags.learnable_boundary else 0.0
+    tau = float(model.boundary(model.params))
     breakdown = pair_breakdown(img, txt, model.mining_params(bound),
                                use_mask=model.flags.use_mining_mask, boundary=tau)
     words = [

@@ -27,8 +27,10 @@ mined evidence is still <= 0. At tau = 0 both hinges equal the
 fixed-boundary ones.
 
 Each objective has one implementation, a batched kernel that training
-calls on a whole batch plan; the per-pair functions keep their signatures
-as adapters that wrap their arguments as a batch of one.
+calls on a whole batch plan (the ranking loss is ``numerics``'s
+``hardest_negative_hinge``, which the model calls directly); the per-pair
+functions keep their signatures as adapters that wrap their arguments as
+a batch of one.
 """
 
 from __future__ import annotations
@@ -134,16 +136,6 @@ def mean_identity_loss(embeddings, labels, classifier) -> Tensor:
     return nm.cross_entropy(nm.linear(embeddings, classifier), labels)
 
 
-def batch_ranking_loss(sim, diff, pairs_img, pairs_txt, margin: float) -> Tensor:
-    """Two-sided hinge against the hardest in-batch negatives, averaged over pairs.
-
-    ``sim`` is (n_img, n_txt), ``diff`` marks its cross-identity cells, and
-    pair p is matched cell (pairs_img[p], pairs_txt[p]). Each side pays
-    max(hardest negative - s + margin, 0), or 0 with no negative to pick.
-    """
-    return nm.hardest_negative_hinge(sim, diff, pairs_img, pairs_txt, margin)
-
-
 # ---------------------------------------------------------- per-pair adapters
 
 def _one_pair(word_scores, name: str) -> tuple[Tensor, np.ndarray]:
@@ -190,7 +182,7 @@ def ranking_loss(s_matched, s_img_negtext, s_negimg_text, margin: float) -> Tens
     """Two-sided hinge: the matched pair must beat both negatives by ``margin``."""
     # the (negative image, negative text) cell is never read; s_matched fills it
     sim = nm.stack([nm.stack([s_matched, s_img_negtext]), nm.stack([s_negimg_text, s_matched])])
-    return batch_ranking_loss(sim, _ONE_PAIR_DIFF, [0], [0], margin)
+    return nm.hardest_negative_hinge(sim, _ONE_PAIR_DIFF, [0], [0], margin)
 
 
 def total_loss(matched, mismatched, identity, rank_global, rank_local, rank_local_neg,

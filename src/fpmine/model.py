@@ -3,9 +3,9 @@
 One code path serves training and evaluation: ops record onto a GradTape
 when one is supplied and run as plain array math when it is None. The
 model only gathers a batch (encodes its images and padded captions, and
-maps plan pairs to batch rows) and calls the batched kernels of
-``similarity`` and ``losses``, the same kernels behind the per-pair
-functions there.
+maps plan pairs to batch rows) and calls the batched kernels: ``numerics``
+for the global and local cosines and the ranking hinge, ``similarity`` and
+``losses`` for the rest; the per-pair functions there call the same ones.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from . import losses as ls
 from . import numerics as nm
 from . import similarity as sim
 from .encoders import (EncoderConfig, ImageEncodings, Sample, TextEncodings,
-                       encode_images_batch, encode_texts_batch, encoder_param_shapes,
-                       init_encoder_params)
+                       encode_images_batch, encode_texts_batch, encoder_param_shapes)
 from .errors import ConfigError
 from .losses import LossReport, LossWeights
 from .numerics import GradTape, Tensor
@@ -56,14 +55,10 @@ class ModelFlags:
             raise ConfigError("at least one similarity branch must be enabled")
 
     def fusion(self) -> str:
-        """The natural inference fusion for these branches."""
-        if self.use_global and self.use_local and self.use_mining:
-            return "full"
-        if self.use_local and self.use_mining:
-            return "local+mining"
-        if self.use_global and self.use_local:
-            return "global+local"
-        return "local" if self.use_local else "global"
+        """The natural inference fusion: the one whose terms are the enabled branches."""
+        terms = tuple(t for t, on in (("global", self.use_global), ("local", self.use_local),
+                                      ("local_negative", self.use_mining)) if on)
+        return next(name for name, need in sim._FUSION_TERMS.items() if need == terms)
 
 
 def param_shapes(config: EncoderConfig, flags: ModelFlags) -> dict[str, tuple[int, ...]]:
@@ -79,16 +74,14 @@ def param_shapes(config: EncoderConfig, flags: ModelFlags) -> dict[str, tuple[in
 def init_params(config: EncoderConfig, flags: ModelFlags, seed: int) -> dict[str, np.ndarray]:
     """All trainable arrays; identical across flag variants for a given seed.
 
-    Past the encoders, weights are Gaussian with scale 1/sqrt(fan_in). The
-    learnable boundary scalar, zero, is last so enabling it never shifts the
-    random draws of the shared parameters.
+    Biases (``*_b``) and scalars are zero; every other array is Gaussian with
+    scale 1/sqrt(fan_in), drawn in ``param_shapes`` order. The learnable
+    boundary scalar is last, so enabling it never shifts the other draws.
     """
     rng = np.random.default_rng(seed)
-    params = init_encoder_params(config, rng)
-    for name, shape in param_shapes(config, flags).items():
-        if name not in params:
-            params[name] = rng.normal(0.0, shape[-1] ** -0.5, shape) if shape else np.zeros(())
-    return params
+    return {name: np.zeros(shape) if name.endswith("_b") or not shape
+            else rng.normal(0.0, shape[-1] ** -0.5, shape)
+            for name, shape in param_shapes(config, flags).items()}
 
 
 @dataclass
@@ -115,7 +108,8 @@ class Model:
         return MiningParams(bound["mining_region_proj"], bound["mining_word_proj"])
 
     def boundary(self, bound: Mapping[str, Tensor]):
-        """The mining decision boundary: the bound tau leaf, or the fixed 0.0.
+        """The mining decision boundary: the bound tau (a leaf, or the array of
+        ``params``), or the fixed 0.0.
 
         tau gets no gradient through the mask; it trains through the word
         hinges, whose push on it changes sign at zero (see ``losses``)."""
@@ -155,9 +149,9 @@ class Model:
         """The (n_images, n_texts) global and local matrices of the enabled branches."""
         comps: dict[str, Tensor] = {}
         if self.flags.use_global:
-            comps["global"] = sim.global_scores(images.global_embed, texts.global_embed)
+            comps["global"] = nm.cosine(images.global_embed, texts.global_embed)
         if self.flags.use_local:
-            comps["local"] = sim.local_scores(images.local_embed, texts.local_embed)
+            comps["local"] = nm.cosine(images.local_embed, texts.local_embed)
         return comps
 
     # ------------------------------------------------------------- batch loss
@@ -198,7 +192,8 @@ class Model:
         diff = img_labels[:, None] != txt_labels[None, :]
 
         def ranking(name):
-            return ls.batch_ranking_loss(comps[name], diff, pos_img, pos_txt, w.ranking_margin)
+            return nm.hardest_negative_hinge(comps[name], diff, pos_img, pos_txt,
+                                             w.ranking_margin)
 
         rank_g = ranking("global") if flags.use_global else 0.0
         rank_l = ranking("local") if flags.use_local else 0.0
@@ -218,11 +213,9 @@ class Model:
             terms.append(ls.mean_identity_loss(texts.global_embed, txt_labels,
                                                bound["id_global_w"]))
         if self.flags.use_local:
-            flat_dim = self.config.region_count * self.config.shared_dim
-            vl = images.local_embed.reshape((img_labels.size, flat_dim))
-            tl = texts.local_embed.reshape((txt_labels.size, flat_dim))
-            local = nm.add(ls.mean_identity_loss(vl, img_labels, bound["id_local_w"]),
-                           ls.mean_identity_loss(tl, txt_labels, bound["id_local_w"]))
+            local = nm.add(
+                ls.mean_identity_loss(images.local_embed, img_labels, bound["id_local_w"]),
+                ls.mean_identity_loss(texts.local_embed, txt_labels, bound["id_local_w"]))
             terms.append(nm.mul(local, self.weights.identity_local_weight))
         total = terms[0]
         for t in terms[1:]:

@@ -152,28 +152,10 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     @property
     def T(self) -> "Tensor":
@@ -187,9 +169,6 @@ class Tensor:
 
     def max(self, axis: int = 0, keepdims: bool = False) -> "Tensor":
         return reduce_max(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None) -> "Tensor":
-        return mean(self, axis=axis)
 
 
 class GradTape:

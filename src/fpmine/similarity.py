@@ -12,10 +12,10 @@ Three signals per (image, text) pair:
 At inference the overall similarity is the sum of the global score, the
 local score, and the negative-adjusted local score.
 
-Each quantity has one implementation, a batched kernel over n images and
-m texts that training and evaluation both call. The per-pair functions
-keep their signatures as adapters: they add the batch axes, call the
-kernel and index the result.
+Each quantity has one implementation over n images and m texts that
+training and evaluation both call: ``numerics.cosine`` of (n, P) or
+(n, K * P) rows for the global and local branches, the kernels here for
+mining. The per-pair functions keep their signatures as adapters.
 """
 
 from __future__ import annotations
@@ -73,17 +73,6 @@ class SimilarityBreakdown:
 
 
 # ------------------------------------------------------------ batched kernels
-
-def global_scores(img_global: Tensor, txt_global: Tensor) -> Tensor:
-    """(n, m) cosines of pooled embeddings (n, P) and (m, P)."""
-    return nm.cosine(img_global, txt_global)
-
-
-def local_scores(img_local: Tensor, txt_local: Tensor) -> Tensor:
-    """(n, m) cosines of region-major flattened local embeddings (n, K, P) and (m, K, P)."""
-    return nm.cosine(img_local.reshape((img_local.shape[0], -1)),
-                     txt_local.reshape((txt_local.shape[0], -1)))
-
 
 def projected(region_feats: Tensor, word_feats: Tensor, params: MiningParams):
     """Region (n, K, C) and word (m, L, C) features projected to rows (n*K, M), (m*L, M)."""
@@ -163,7 +152,7 @@ def global_similarity(img_global, txt_global) -> Tensor:
     a, b = _as_tensor(img_global), _as_tensor(txt_global)
     if a.ndim != 1 or b.ndim != 1:
         raise ShapeError(f"global embeddings must be vectors, got {a.shape} and {b.shape}")
-    return global_scores(a.reshape((1, a.size)), b.reshape((1, b.size))).reshape(())
+    return nm.cosine(a, b)
 
 
 def local_similarity(img_local, txt_local) -> Tensor:
@@ -171,7 +160,7 @@ def local_similarity(img_local, txt_local) -> Tensor:
     a, b = _as_tensor(img_local), _as_tensor(txt_local)
     if a.ndim != 2 or b.ndim != 2 or a.shape != b.shape:
         raise ShapeError(f"local embeddings must share a (K, P) shape, got {a.shape} and {b.shape}")
-    return local_scores(a.reshape((1,) + a.shape), b.reshape((1,) + b.shape)).reshape(())
+    return nm.cosine(a.reshape((a.size,)), b.reshape((b.size,)))
 
 
 def word_region_scores(region_feats, word_feats, params: MiningParams) -> Tensor:

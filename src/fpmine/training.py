@@ -183,22 +183,17 @@ def train(dataset: SyntheticDataset, config: TrainConfig, *,
     if train_idx.size == 0:
         raise ConfigError("empty training split")
 
-    if start is None:
-        model = Model(dataset.config, config.flags, seed=config.seed)
-        state = AdamState.zeros_like(model.params)
-        master = np.random.default_rng(config.seed)
-        first_epoch = 0
-        step = 0
-    else:
-        if start.encoder_config != dataset.config:
-            raise ConfigError("checkpoint was trained with a different encoder config")
-        model = Model(dataset.config, config.flags,
-                      params={k: v.copy() for k, v in start.params.items()}, seed=config.seed)
-        state = AdamState(start.adam_m, start.adam_v, start.adam_t)
-        master = np.random.default_rng(config.seed)
+    if start is not None and start.encoder_config != dataset.config:
+        raise ConfigError("checkpoint was trained with a different encoder config")
+    model = Model(dataset.config, config.flags, seed=config.seed,
+                  params=None if start is None else {k: v.copy() for k, v in start.params.items()})
+    state = (AdamState.zeros_like(model.params) if start is None
+             else AdamState(start.adam_m, start.adam_v, start.adam_t))
+    master = np.random.default_rng(config.seed)
+    first_epoch = step = 0
+    if start is not None:
         master.bit_generator.state = start.rng_state
-        first_epoch = start.epoch
-        step = start.step
+        first_epoch, step = start.epoch, start.step
 
     log: list[dict] = []
     for epoch in range(first_epoch, config.epochs):
@@ -274,7 +269,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     table = _tensor_table(ckpt)
     buf += struct.pack("<I", len(table))
     for name in sorted(table):
-        arr = np.ascontiguousarray(table[name], dtype="<f8")
+        arr = np.asarray(table[name], dtype="<f8", order="C")  # keeps 0-d shapes
         nameb = name.encode("utf-8")
         buf += struct.pack("<H", len(nameb))
         buf += nameb

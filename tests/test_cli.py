@@ -12,8 +12,10 @@ import pytest
 
 from fpmine.cli import (DATA_KEYS, ENCODER_KEYS, FLAG_KEYS, GEN_KEYS, MODEL_KEYS, TRAIN_KEYS,
                         _collect_settings, build_configs, build_parser, main, parse_config_file)
-from fpmine.dataset import write_atomic
-from fpmine.training import _CKPT_VERSION, load_checkpoint, train
+from fpmine.dataset import load_dataset, write_atomic
+from fpmine.errors import DataError
+from fpmine.evaluation import ABLATION_VARIANTS, variant_config
+from fpmine.training import _CKPT_VERSION, TrainConfig, gradcheck, load_checkpoint, train
 
 CONFIG_KEYS = ENCODER_KEYS + TRAIN_KEYS + FLAG_KEYS + GEN_KEYS
 
@@ -101,6 +103,19 @@ class TestConfigParsing:
             code = main([*command, "--config", str(p), "--out", str(tmp_path / "run")])
             assert code == 1
             assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,message", [
+        (None, "config file not found"), ('{"epochs": ', "invalid JSON config"),
+        ("[1, 2]", "must hold a JSON object"), ("epochs 3\n", "expected KEY = VALUE")],
+        ids=["missing", "invalid-json", "json-array", "line-without-equals"])
+    def test_bad_config_file_exit_1(self, tmp_path, capsys, text, message):
+        p = tmp_path / "c.cfg"
+        if text is not None:
+            p.write_text(text)
+        code = main(["train", "--config", str(p), "--data", "x.bin", "--out", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
 
     def test_every_key_reaches_built_config(self, tmp_path):
         flat_defaults = self.flatten(*build_configs({}))
@@ -254,6 +269,25 @@ class TestTrainEval:
         assert json.loads((ev / "results.json").read_text()) == json.loads(json.dumps(results))
         assert json.loads((ev / "report.json").read_text()) == json.loads(json.dumps(report))
 
+    def test_eval_without_validation_split_scores_every_sample(self, tmp_path, config_file,
+                                                               data_dir):
+        run, ev = tmp_path / "run", tmp_path / "eval"
+        assert main(["train", "--config", config_file, "--epochs", "1", "--val-fraction", "0",
+                     "--data", str(data_dir / "dataset.bin"), "--out", str(run)]) == 0
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.bin"),
+                     "--data", str(data_dir / "dataset.bin"), "--out", str(ev)]) == 0
+        results = json.loads((ev / "results.json").read_text())
+        count = len(load_dataset(data_dir / "dataset.bin").samples)
+        assert results["query_count"] == results["gallery_count"] == count
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_numerical_failure_exit_3(self, tmp_path, config_file, data_dir, capsys):
+        code = main(["train", "--config", config_file, "--lr", "1e300",
+                     "--data", str(data_dir / "dataset.bin"), "--out", str(tmp_path / "r")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "Traceback" not in err
+
     def test_epochs_zero_checkpoint_equals_init(self, tmp_path, config_file, data_dir):
         run = tmp_path / "run0"
         code = main(["train", "--config", config_file, "--epochs", "0",
@@ -296,6 +330,35 @@ class TestTrainEval:
         code = main(["train", "--config", config_file, "--data",
                      str(tmp_path / "nope.bin"), "--out", str(tmp_path / "r")])
         assert code == 2
+
+    def test_missing_checkpoint_exit_2(self, tmp_path, data_dir, capsys):
+        code = main(["eval", "--checkpoint", str(tmp_path / "nope.bin"),
+                     "--data", str(data_dir / "dataset.bin"), "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert "checkpoint not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grown", ["dataset", "checkpoint"])
+    def test_trailing_byte_exit_2(self, tmp_path, config_file, data_dir, capsys, grown):
+        run = tmp_path / "run"
+        assert main(["train", "--config", config_file, "--epochs", "0",
+                     "--data", str(data_dir / "dataset.bin"), "--out", str(run)]) == 0
+        files = {"dataset": data_dir / "dataset.bin", "checkpoint": run / "checkpoint.bin"}
+        files[grown].write_bytes(files[grown].read_bytes() + b"\0")
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(files["checkpoint"]),
+                     "--data", str(files["dataset"]), "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert f"trailing bytes in {grown}" in capsys.readouterr().err
+
+    def test_unknown_tensor_prefix_is_data_error(self, tmp_path, config_file, data_dir):
+        run = tmp_path / "run"
+        assert main(["train", "--config", config_file, "--epochs", "0",
+                     "--data", str(data_dir / "dataset.bin"), "--out", str(run)]) == 0
+        blob = (run / "checkpoint.bin").read_bytes()
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(blob.replace(b"param/img_embed_w", b"parax/img_embed_w"))
+        with pytest.raises(DataError, match="unknown tensor entry 'parax/img_embed_w'"):
+            load_checkpoint(bad)
 
     def test_corrupt_checkpoint_exit_2(self, tmp_path, data_dir):
         bad = tmp_path / "bad.bin"
@@ -440,6 +503,26 @@ class TestGradcheckCommand:
         assert resolved["encoder"]["region_count"] == 2
         assert resolved["generator"] == {"identities": 3}
 
+    def test_given_dataset_is_checked(self, tmp_path, data_dir, monkeypatch):
+        from fpmine import cli
+
+        checked = []
+
+        def recording_gradcheck(dataset, config, **kw):
+            checked.append(dataset)
+            return gradcheck(dataset, config, **kw)
+
+        monkeypatch.setattr(cli, "gradcheck", recording_gradcheck)
+        path = data_dir / "dataset.bin"
+        assert main(["gradcheck", "--data", str(path), "--out", str(tmp_path / "gc")]) == 0
+        [dataset], given = checked, load_dataset(path)
+        assert dataset.config == given.config and len(dataset.samples) == len(given.samples)
+        for a, b in zip(dataset.samples, given.samples):
+            assert np.array_equal(a.image_raw, b.image_raw)
+            assert np.array_equal(a.text_raw, b.text_raw)
+        resolved = json.loads((tmp_path / "gc" / "manifest.json").read_text())["resolved_config"]
+        assert resolved["data"] == str(path)
+
     def test_impossible_tolerance_exit_3(self, tmp_path):
         code = main(["gradcheck", "--tolerance", "1e-18", "--out", str(tmp_path / "gc")])
         assert code == 3
@@ -489,3 +572,21 @@ class TestAblateCommand:
         assert main(["ablate", "--config", config_file, "--epochs", "1",
                      "--data", str(data_dir / "dataset.bin"), "--out", str(tmp_path / "a")]) == 0
         assert len(configs) == len(set(configs)) == 9  # 11 rows: two pairs coincide
+
+
+class TestEveryVariant:
+    @pytest.mark.parametrize("variant", list(ABLATION_VARIANTS))
+    def test_gen_data_train_eval_report(self, tmp_path, data_dir, variant):
+        config = variant_config(TrainConfig(epochs=1, batch_size=8, val_fraction=0.25), variant)
+        settings = {**asdict(config.flags), "balanced_sampling": config.balanced_sampling}
+        path = tmp_path / "variant.cfg"
+        path.write_text(CONFIG_TEXT + "".join(f"{k} = {json.dumps(v)}\n"
+                                              for k, v in settings.items()))
+        run, ev = tmp_path / "run", tmp_path / "eval"
+        assert main(["train", "--config", str(path), "--epochs", "1",
+                     "--data", str(data_dir / "dataset.bin"), "--out", str(run)]) == 0
+        assert load_checkpoint(run / "checkpoint.bin").train_config == config
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.bin"), "--data",
+                     str(data_dir / "dataset.bin"), "--report", "--out", str(ev)]) == 0
+        assert json.loads((ev / "results.json").read_text())["fusion"] == config.flags.fusion()
+        assert "mining_activity" in json.loads((ev / "report.json").read_text())

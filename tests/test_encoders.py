@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from fpmine.encoders import (EncoderConfig, Sample, encode_image, encode_text,
-                             encode_images_batch, encode_texts_batch,
-                             init_encoder_params)
+                             encode_images_batch, encode_texts_batch)
 from fpmine.errors import ConfigError, InputError, ShapeError
+from fpmine.model import ModelFlags, init_params
 from fpmine.numerics import GradTape, Tensor, backward, finite_difference_grad
 
 CFG = EncoderConfig(feature_dim=10, shared_dim=6, projection_dim=4, region_count=3,
@@ -15,7 +15,7 @@ CFG = EncoderConfig(feature_dim=10, shared_dim=6, projection_dim=4, region_count
 
 @pytest.fixture()
 def params():
-    return init_encoder_params(CFG, np.random.default_rng(0))
+    return init_params(CFG, ModelFlags(), 0)
 
 
 class TestConfig:
@@ -37,7 +37,7 @@ class TestEncodeImage:
     def test_shape_contract(self):
         cfg = EncoderConfig(feature_dim=64, shared_dim=32, region_count=6,
                             image_raw_dim=24)
-        p = init_encoder_params(cfg, np.random.default_rng(1))
+        p = init_params(cfg, ModelFlags(), 1)
         bundle = encode_image(np.zeros((6, 24)), p, cfg)
         assert bundle.global_embed.shape == (32,)
         assert bundle.local_embed.shape == (6, 32)
@@ -60,7 +60,8 @@ class TestEncodeImage:
         for i in range(4):
             single = encode_image(raws[i], params, CFG)
             assert np.allclose(batch.global_embed.data[i], single.global_embed.data)
-            assert np.allclose(batch.local_embed.data[i], single.local_embed.data)
+            # batches hold each sample's local embeddings as one region-major row
+            assert np.allclose(batch.local_embed.data[i], single.local_embed.data.reshape(-1))
             assert np.allclose(batch.region_feats.data[i], single.raw_parts.data)
 
     def test_gradient_of_bundle_entry_wrt_params(self, params):
@@ -89,7 +90,7 @@ class TestEncodeText:
     def test_shape_contract(self):
         cfg = EncoderConfig(feature_dim=64, shared_dim=32, region_count=6,
                             max_words=12, text_raw_dim=24)
-        p = init_encoder_params(cfg, np.random.default_rng(4))
+        p = init_params(cfg, ModelFlags(), 4)
         bundle = encode_text(np.random.default_rng(5).normal(size=(9, 24)), p, cfg)
         assert bundle.global_embed.shape == (32,)
         assert bundle.local_embed.shape == (6, 32)
@@ -115,7 +116,8 @@ class TestEncodeText:
         for i, t in enumerate(tokens):
             single = encode_text(t, params, CFG)
             assert np.allclose(batch.global_embed.data[i], single.global_embed.data)
-            assert np.allclose(batch.local_embed.data[i], single.local_embed.data)
+            # batches hold each sample's local embeddings as one region-major row
+            assert np.allclose(batch.local_embed.data[i], single.local_embed.data.reshape(-1))
 
     def test_length_zero_rejected(self, params):
         with pytest.raises((InputError, ShapeError)):

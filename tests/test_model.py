@@ -14,13 +14,14 @@ from fpmine.dataset import generate_synthetic_dataset
 from fpmine.encoders import (EncoderConfig, encode_image, encode_images_batch, encode_text,
                              encode_texts_batch)
 from fpmine.errors import ConfigError
-from fpmine.evaluation import rank_rows
+from fpmine.evaluation import ABLATION_VARIANTS, rank_rows, variant_config
 from fpmine.model import FUSIONS, Model, ModelFlags, init_params
 from fpmine.numerics import GradTape, Tensor, backward
 from fpmine.sampling import balanced_batches
 from fpmine.similarity import (MiningParams, global_similarity, local_similarity,
                                negative_similarity, pair_breakdown, word_max_scores,
                                word_region_scores)
+from fpmine.training import TrainConfig
 
 CFG = EncoderConfig(feature_dim=12, shared_dim=6, projection_dim=5, region_count=3,
                     max_words=8, image_raw_dim=7, text_raw_dim=7)
@@ -408,14 +409,24 @@ class TestGradientsAgainstDenseMaxCosineRule:
                                            atol=1e-13 * np.abs(g).max(), err_msg=name)
 
 
+# tape nodes of one toy batch per ablation variant: an upper bound, so a refactor that
+# removes nodes still passes and one that adds them fails. The global-only variant holds
+# two reshapes of local embeddings that no term reads (the encoders flatten them always).
+TAPE_NODES = {"global": 39, "local": 41, "global+local": 49, "local+mining": 70,
+              "global+local+mining": 78, "baseline": 49, "no_local_neg_ranking": 76,
+              "no_mining_mask": 77, "no_balanced_sample": 78, "learnable_boundary": 82,
+              "full": 78}
+
+
 class TestTapeSize:
-    def test_batch_loss_tape_nodes_bounded(self):
-        # an upper bound, so later tape reductions still pass
+    @pytest.mark.parametrize("variant", list(ABLATION_VARIANTS))
+    def test_batch_loss_tape_nodes_bounded(self, variant):
         ds = toy_dataset(seed=2)
         plan = next(iter(balanced_batches(ds, 6, seed=1)))
         tape = GradTape()
-        Model(CFG, seed=5).batch_loss(ds, plan, tape)
-        assert len(tape) <= 80
+        flags = variant_config(TrainConfig(), variant).flags
+        Model(CFG, flags, seed=5).batch_loss(ds, plan, tape)
+        assert len(tape) <= TAPE_NODES[variant]
 
     def test_dropped_tape_freed_without_cyclic_gc(self):
         import gc

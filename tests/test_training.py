@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 from fpmine.dataset import generate_synthetic_dataset, identity_split
 from fpmine.encoders import EncoderConfig
 from fpmine.errors import ConfigError, DataError
-from fpmine.model import Model, ModelFlags
+from fpmine.evaluation import ABLATION_VARIANTS, variant_config
+from fpmine.model import Model, ModelFlags, param_shapes
 from fpmine.sampling import balanced_batches
-from fpmine.training import (AdamState, Checkpoint, TrainConfig, adam_step, gradcheck,
-                             load_checkpoint, model_from_checkpoint, save_checkpoint, train)
+from fpmine.training import (_CKPT_VERSION, AdamState, Checkpoint, TrainConfig, adam_step,
+                             gradcheck, load_checkpoint, model_from_checkpoint,
+                             save_checkpoint, train)
 
 CFG = EncoderConfig(feature_dim=12, shared_dim=6, projection_dim=5, region_count=3,
                     max_words=8, image_raw_dim=7, text_raw_dim=7)
@@ -280,6 +282,46 @@ class TestCheckpoint:
         tail_a = [r for r in straight.log if r["type"] == "step"][half.checkpoint.step:]
         tail_b = [r for r in resumed.log if r["type"] == "step"]
         assert tail_a == tail_b
+
+    @pytest.mark.parametrize("variant", list(ABLATION_VARIANTS))
+    def test_resumed_checkpoint_bytes_equal_uninterrupted(self, tmp_path, variant):
+        ds = toy_dataset()
+        one, two = (variant_config(toy_config(epochs=n), variant) for n in (1, 2))
+        save_checkpoint(train(ds, one).checkpoint, tmp_path / "one.bin")
+        resumed = train(ds, two, start=load_checkpoint(tmp_path / "one.bin"))
+        save_checkpoint(resumed.checkpoint, tmp_path / "resumed.bin")
+        save_checkpoint(train(ds, two).checkpoint, tmp_path / "straight.bin")
+        assert (tmp_path / "resumed.bin").read_bytes() == (tmp_path / "straight.bin").read_bytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(dims=st.tuples(*[st.integers(1, 4)] * 3, st.integers(2, 3)),
+           learnable=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+           scalars=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                            min_size=3, max_size=3))
+    def test_save_load_save_is_byte_identical(self, dims, learnable, seed, scalars):
+        feature, shared, projection, regions = dims
+        cfg = EncoderConfig(feature_dim=feature, shared_dim=shared, projection_dim=projection,
+                            region_count=regions, max_words=4, identity_count=3,
+                            image_raw_dim=2, text_raw_dim=2)
+        flags = ModelFlags(learnable_boundary=learnable)
+        rng = np.random.default_rng(seed)
+        tables = [{name: rng.normal(size=shape) for name, shape in
+                   param_shapes(cfg, flags).items()} for _ in range(3)]
+        if learnable:  # the 0-d tensors: the boundary and its two moments
+            for table, value in zip(tables, scalars):
+                table["boundary_tau"] = np.array(value)
+        ckpt = Checkpoint(_CKPT_VERSION, cfg, TrainConfig(flags=flags), *tables, adam_t=3,
+                          step=3, epoch=1, rng_state=rng.bit_generator.state)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "first.bin", Path(tmp) / "second.bin"
+            save_checkpoint(ckpt, first)
+            back = load_checkpoint(first)
+            save_checkpoint(back, second)
+            assert first.read_bytes() == second.read_bytes()
+        for group, table in zip(("params", "adam_m", "adam_v"), tables):
+            for name, arr in table.items():
+                loaded = getattr(back, group)[name]
+                assert loaded.shape == arr.shape and loaded.tobytes() == arr.tobytes()
 
     def test_wrong_config_rejected_on_resume(self, tmp_path):
         ds = toy_dataset()
