@@ -320,7 +320,10 @@ class _Reader:
 
     def array(self, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
         raw = self.read(math.prod(shape) * np.dtype(dtype).itemsize)
-        return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(np.float64)
+        arr = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(np.float64)
+        if not np.isfinite(arr).all():
+            raise DataError(f"non-finite value in {self.kind}: {self.path}")
+        return arr
 
 
 def load_dataset(path) -> SyntheticDataset:

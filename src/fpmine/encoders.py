@@ -106,7 +106,6 @@ class TextEncodings:
     local_embed: Tensor    # (N, K * P), region-major
     global_embed: Tensor   # (N, P)
     mask: np.ndarray       # (N, L) bool, True at valid tokens
-    lengths: np.ndarray    # (N,)
 
 
 ENCODER_PARAM_SHAPES = {
@@ -137,12 +136,9 @@ def encode_images_batch(raws, params: Mapping[str, Tensor | np.ndarray],
     k, raw_dim = config.region_count, config.image_raw_dim
     if r.ndim != 3 or r.shape[1:] != (k, raw_dim):
         raise ShapeError(f"expected image raws (N, {k}, {raw_dim}), got {r.shape}")
-    n = r.shape[0]
-    flat = r.reshape((n * k, raw_dim))
-    region_feats = nm.linear(flat, params["img_embed_w"], params["img_embed_b"]).reshape(
-        (n, k, config.feature_dim))
+    region_feats = nm.linear(r, params["img_embed_w"], params["img_embed_b"])
     local_embed = nm.linear(region_feats, params["img_local_w"], params["img_local_b"]).reshape(
-        (n, k * config.shared_dim))
+        (r.shape[0], k * config.shared_dim))
     pooled = region_feats.max(axis=1)
     global_embed = nm.linear(pooled, params["img_global_w"], params["img_global_b"])
     return ImageEncodings(region_feats, local_embed, global_embed)
@@ -161,15 +157,13 @@ def encode_texts_batch(raws, lengths, params: Mapping[str, Tensor | np.ndarray],
     if np.any(lengths < 1) or np.any(lengths > config.max_words) or np.any(lengths > pad_len):
         raise InputError("text lengths must satisfy 1 <= length <= max_words and fit the padding")
 
-    flat = r.reshape((n * pad_len, config.text_raw_dim))
-    word_feats = nm.linear(flat, params["txt_embed_w"], params["txt_embed_b"]).reshape(
-        (n, pad_len, config.feature_dim))
+    word_feats = nm.linear(r, params["txt_embed_w"], params["txt_embed_b"])
     mask = np.arange(pad_len)[None, :] < lengths[:, None]
     pooled = nm.masked_max(word_feats, mask[:, :, None], axis=1)
     local_embed = nm.linear(pooled, params["txt_local_w"], params["txt_local_b"]).reshape(
         (n, config.region_count * config.shared_dim))
     global_embed = nm.linear(pooled, params["txt_global_w"], params["txt_global_b"])
-    return TextEncodings(word_feats, local_embed, global_embed, mask, lengths)
+    return TextEncodings(word_feats, local_embed, global_embed, mask)
 
 
 def encode_image(raw, params: Mapping[str, Tensor | np.ndarray],

@@ -80,10 +80,8 @@ class LossReport:
 
 def _pair_rows(word_scores: Tensor, text_mask, pairs_img, pairs_txt):
     """(pairs, L) rows of an (n_img, n_txt, L) word-score tensor, and their word masks."""
-    n_img, n_txt, length = word_scores.shape
     pairs_txt = np.asarray(pairs_txt, dtype=np.intp)
-    flat = word_scores.reshape((n_img * n_txt, length))
-    rows = nm.take_rows(flat, np.asarray(pairs_img, dtype=np.intp) * n_txt + pairs_txt)
+    rows = nm.take_rows(word_scores, (pairs_img, pairs_txt))
     return rows, np.asarray(text_mask, dtype=bool)[pairs_txt]
 
 

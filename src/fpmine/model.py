@@ -119,10 +119,10 @@ class Model:
 
     def word_score_tensor(self, images: ImageEncodings, texts: TextEncodings,
                           mining: MiningParams) -> Tensor:
-        """(n_images, n_texts, pad_len) max-over-regions word scores; padded
-        positions hold junk and must be masked by ``texts.mask``."""
-        return sim.word_scores(*sim.projected(images.region_feats, texts.word_feats, mining),
-                               images.region_feats.shape[1], texts.word_feats.shape[1])
+        """(n_images, n_texts, pad_len) word scores, ``nm.max_cosine`` of the projected (n, K, M)
+        regions in groups of K and (m, L, M) words; padding holds junk that ``texts.mask`` masks."""
+        regions, words = sim.projected(images.region_feats, texts.word_feats, mining)
+        return nm.max_cosine(regions, words, regions.shape[1])
 
     def similarity_components(self, images: ImageEncodings, texts: TextEncodings,
                               bound: Mapping[str, Tensor]
@@ -270,8 +270,8 @@ class Model:
             for lo in starts:
                 hi = min(lo + rows, n)
                 block = work[:, :hi - lo]
-                scores = sim.word_scores(nm.take_rows(regions, np.arange(lo * k, hi * k)),
-                                         words, k, pad, out=block)
+                scores = nm.max_cosine(nm.take_rows(regions, np.arange(lo, hi)), words, k,
+                                       out=block)
                 self._evidence(scores, texts, nm.take_rows(comps["local"], np.arange(lo, hi)),
                                bound, out=(block[0].reshape(scores.shape), out["negative"][lo:hi],
                                            out["local_negative"][lo:hi]))

@@ -394,25 +394,19 @@ def reduce_sum(a, axis=None, keepdims: bool = False, out=None) -> Tensor:
 
 
 def _max_along(a: Tensor, work: np.ndarray, axis: int, keepdims: bool,
-               valid: np.ndarray | None = None, default: float = 0.0,
                negate: bool = False) -> Tensor:
     """``np.max`` of ``work`` along ``axis`` as an op on ``a``, negated if ``negate`` (the
-    min of ``a`` from ``work`` = -a); slices where the kept-dims ``valid`` is False yield
-    ``default``. Only a tape takes the argmax: backward routes each slice's gradient to
-    its lowest-index maximizer of ``work`` (none for an invalid slice)."""
-    out = np.max(work, axis=axis, keepdims=True)
+    min of ``a`` from ``work`` = -a). Only a tape takes the argmax: backward routes each
+    slice's gradient to its lowest-index maximizer of ``work``."""
+    out = np.max(work, axis=axis, keepdims=keepdims)
     if negate:
         out = -out
-    if valid is not None:
-        out = np.where(valid, out, default)
-    out = out if keepdims else np.squeeze(out, axis=axis)
     idx = None if _tape_of(a) is None else np.expand_dims(np.argmax(work, axis=axis), axis)
     shape = a.shape
 
     def bw(g):
-        g = np.reshape(g, idx.shape)
         buf = np.zeros(shape)
-        np.put_along_axis(buf, idx, g if valid is None else np.where(valid, g, 0.0), axis)
+        np.put_along_axis(buf, idx, np.reshape(g, idx.shape), axis)
         return (buf,)
 
     return _emit(out, (a,), bw)
@@ -426,31 +420,28 @@ def reduce_max(a, axis: int = 0, keepdims: bool = False) -> Tensor:
     return _max_along(a, a.data, axis, keepdims)
 
 
-def _masked_max(a, mask, axis: int, allow_empty: bool, default: float,
-                negate: bool = False) -> Tensor:
+def _masked_max(a, mask, axis: int, negate: bool = False) -> Tensor:
     """``masked_max``, or with ``negate`` ``masked_min`` as minus the masked max of -a."""
     a = _as_tensor(a)
     maskb = np.broadcast_to(np.asarray(mask, dtype=bool), a.shape)
-    valid = maskb.any(axis=axis, keepdims=True)
-    if not (allow_empty or valid.all()):
+    if not maskb.any(axis=axis).all():
         raise ContractError("masked max/min over a slice with no valid entries")
     work = np.where(maskb, -a.data if negate else a.data, -np.inf)
-    return _max_along(a, work, axis, False, valid, default, negate)
+    return _max_along(a, work, axis, False, negate)
 
 
-def masked_max(a, mask, axis: int, allow_empty: bool = False, default: float = 0.0) -> Tensor:
+def masked_max(a, mask, axis: int) -> Tensor:
     """Max over entries where ``mask`` is True.
 
     ``mask`` is a constant boolean array broadcastable to ``a``; no gradient
-    flows through it. Slices with no valid entry raise ContractError unless
-    ``allow_empty``, in which case they yield ``default`` with zero gradient.
+    flows through it. A slice with no valid entry raises ContractError.
     """
-    return _masked_max(a, mask, axis, allow_empty, default)
+    return _masked_max(a, mask, axis)
 
 
-def masked_min(a, mask, axis: int, allow_empty: bool = False, default: float = 0.0) -> Tensor:
+def masked_min(a, mask, axis: int) -> Tensor:
     """Min over entries where ``mask`` is True, one tape node; otherwise as ``masked_max``."""
-    return _masked_max(a, mask, axis, allow_empty, default, negate=True)
+    return _masked_max(a, mask, axis, negate=True)
 
 
 def maximum(a, threshold: float) -> Tensor:
@@ -498,9 +489,11 @@ def log(a) -> Tensor:
 
 
 def take_rows(a, indices) -> Tensor:
-    """Gather along axis 0 (duplicate indices accumulate gradient)."""
+    """Gather along axis 0, or, given a tuple of index arrays, the cells ``a[i, j, ...]``
+    of the leading axes; duplicate indices accumulate gradient."""
     a = _as_tensor(a)
     idx = np.asarray(indices, dtype=np.intp)
+    idx = tuple(idx) if isinstance(indices, tuple) else idx
 
     def bw(g):
         buf = np.zeros_like(a.data)
@@ -576,15 +569,17 @@ def cosine(a, b) -> Tensor:
 
 
 def max_cosine(a, b, groups: int, out=None) -> Tensor:
-    """(n, m) max over each run of ``groups`` consecutive rows of (n * groups, d) ``a``
-    of their clamped cosines with the rows of (m, d) ``b`` (MaxSim), as in
-    ``_cosine_forward``, with or without a tape. A tape keeps the winning member
-    of each max, not the cosines; backward routes each max to the lowest-index
-    maximizer, passes nothing through a clamped |cos| = 1 (the true gradient for
-    parallel vectors) and drops a floored norm's own term. Untaped, a (2, n, m)
-    ``out`` is the workspace of ``_cosine_forward``: the result is ``out[0]``."""
+    """Max over each run of ``groups`` consecutive rows (last axis, any leading shape) of
+    ``a`` of their clamped cosines with the rows of ``b`` (MaxSim), as in
+    ``_cosine_forward``, with or without a tape: (n, K, d) ``a`` in groups of K and
+    (m, L, d) ``b`` give (n, m, L), i.e. (rows of a / groups,) + ``b.shape[:-1]``; two
+    vectors give a scalar. A tape keeps the winning member of each max, not the cosines;
+    backward routes each max to the lowest-index maximizer, passes nothing through a
+    clamped |cos| = 1 (the true gradient for parallel vectors) and drops a floored norm's
+    own term. Untaped, a (2, n, rows of b) ``out`` is the workspace of ``_cosine_forward``:
+    the result is a view of ``out[0]``."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if (a.ndim != b.ndim or a.ndim not in (1, 2) or not 1 <= a.shape[-1] == b.shape[-1]
+    if (a.ndim == 0 or min(a.ndim, 2) != min(b.ndim, 2) or not 1 <= a.shape[-1] == b.shape[-1]
             or groups < 1 or a.size // a.shape[-1] % groups):
         raise ShapeError(f"cannot take cosines of {a.shape} rows, in groups of {groups}, "
                          f"with {b.shape} rows")
@@ -617,35 +612,37 @@ def max_cosine(a, b, groups: int, out=None) -> Tensor:
         gb[cols] = H.T @ a2 - (np.bincount(jc, gc * cc, len(cols)) * cb)[:, None] * bc
         return ga.reshape(a.shape), gb.reshape(b.shape)
 
-    return _emit(cos.reshape(rows if a.ndim == 2 else ()), (a, b), bw)
+    return _emit(cos.reshape(rows[:1] + b.shape[:-1] if a.ndim > 1 else ()), (a, b), bw)
 
 
 def linear(x, w, b=None) -> Tensor:
-    """Dense layer ``x @ w.T + b``, bias optional. A (P, C) ``w`` maps (n, C) ``x`` to
-    (n, P); a (K, P, C) ``w`` is K heads in one stacked matmul, head k applied to strip k
-    of an (n, K, C) ``x`` or to a shared (n, C) ``x``, giving (n, K, P). ``b`` is ``w``'s
-    shape without its last axis."""
+    """Dense layer ``x @ w.T + b``, bias optional. A (P, C) ``w`` maps (..., C) ``x`` to
+    (..., P), one product over all rows of ``x``; a (K, P, C) ``w`` is K heads in one
+    stacked matmul, head k applied to strip k of an (n, K, C) ``x`` or to a shared (n, C)
+    ``x``, giving (n, K, P). ``b`` is ``w``'s shape without its last axis."""
     x, w, b = _as_tensor(x), _as_tensor(w), None if b is None else _as_tensor(b)
-    if (w.ndim not in (2, 3) or x.ndim not in (2, w.ndim) or x.shape[-1] != w.shape[-1]
-            or x.shape[1:-1] not in ((), w.shape[:-2])
+    if (w.ndim not in (2, 3) or x.ndim < 2 or x.shape[-1] != w.shape[-1]
+            or w.ndim == 3 and x.shape[1:-1] not in ((), w.shape[:-2])
             or b is not None and b.shape != w.shape[:-1]):
         raise ShapeError(f"linear cannot apply {w.shape} weights to inputs {x.shape}")
     xd, wd, const_x = x.data, w.data, x.tape is None
-    xk = xd.swapaxes(0, 1) if xd.ndim == 3 else xd  # (K, n, C) per strip, or (n, C)
+    # all rows as (rows, C) for one (P, C) w; (K, n, C) per strip, or a shared (n, C)
+    xk = (xd.reshape((-1, xd.shape[-1])) if wd.ndim == 2
+          else xd.swapaxes(0, 1) if xd.ndim == 3 else xd)
     out = np.matmul(xk, wd.swapaxes(-1, -2))
-    if wd.ndim == 3:
-        out = np.ascontiguousarray(out.swapaxes(0, 1))
+    out = (out.reshape(xd.shape[:-1] + wd.shape[:1]) if wd.ndim == 2
+           else np.ascontiguousarray(out.swapaxes(0, 1)))
     if b is not None:
         out += b.data
 
     def bw(g):
-        g = np.asarray(g)
+        g = np.reshape(g, (-1, wd.shape[0])) if wd.ndim == 2 else np.asarray(g)
         gk = g.swapaxes(0, 1) if wd.ndim == 3 else None  # (K, n, P)
-        gw = (xd.T @ g).T if gk is None else np.matmul(gk.swapaxes(1, 2), xk)
+        gw = (xk.T @ g).T if gk is None else np.matmul(gk.swapaxes(1, 2), xk)
         if const_x:  # an input no tape records, such as raw features, takes no gradient
             gx = None
         elif gk is None:
-            gx = g @ wd
+            gx = (g @ wd).reshape(xd.shape)
         else:
             gx = (np.matmul(gk, wd).swapaxes(0, 1) if xd.ndim == 3
                   else np.reshape(g, (xd.shape[0], -1)) @ wd.reshape((-1, xd.shape[1])))

@@ -14,8 +14,8 @@ local score, and the negative-adjusted local score.
 
 Each quantity has one implementation over n images and m texts that
 training and evaluation both call: ``numerics.cosine`` of (n, P) or
-(n, K * P) rows for the global and local branches, the kernels here for
-mining. The per-pair functions keep their signatures as adapters.
+(n, K * P) rows for the global and local branches, ``numerics.max_cosine``
+and the kernels here for mining. The per-pair functions are adapters.
 """
 
 from __future__ import annotations
@@ -75,19 +75,10 @@ class SimilarityBreakdown:
 # ------------------------------------------------------------ batched kernels
 
 def projected(region_feats: Tensor, word_feats: Tensor, params: MiningParams):
-    """Region (n, K, C) and word (m, L, C) features projected to rows (n*K, M), (m*L, M)."""
-    (n, k, c), (m, length) = region_feats.shape, word_feats.shape[:2]
-    return (nm.linear(region_feats.reshape((n * k, c)), params.region_proj),
-            nm.linear(word_feats.reshape((m * length, c)), params.word_proj))
-
-
-def word_scores(regions: Tensor, words: Tensor, k: int, length: int, out=None) -> Tensor:
-    """(n, m, L) max over each image's K projected region rows (n*K, M) of their cosines
-    with the projected word rows (m*L, M), as one ``nm.max_cosine``; ties route to the
-    first region. Padded word positions hold junk that callers mask. Untaped, a
-    (2, n, m*L) ``out`` is ``max_cosine``'s workspace."""
-    n, m = regions.shape[0] // k, words.shape[0] // length
-    return nm.max_cosine(regions, words, k, out=out).reshape((n, m, length))
+    """Region (..., C) and word (..., C) features projected to (..., M) in their own
+    shapes: (n, K, M) and (m, L, M) for batches. ``nm.max_cosine(regions, words, K)``
+    then gives the (n, m, L) word scores, each word's max over its image's regions."""
+    return nm.linear(region_feats, params.region_proj), nm.linear(word_feats, params.word_proj)
 
 
 def mining_mask(score, boundary=0.0, out=None) -> Tensor:
@@ -172,8 +163,7 @@ def word_region_scores(region_feats, word_feats, params: MiningParams) -> Tensor
     v, e = _as_tensor(region_feats), _as_tensor(word_feats)
     if v.ndim != 2 or e.ndim != 2:
         raise ShapeError("word_region_scores expects 2-D feature matrices")
-    return nm.cosine(*projected(v.reshape((1,) + v.shape), e.T.reshape((1,) + e.T.shape),
-                                params))
+    return nm.cosine(*projected(v, e.T, params))
 
 
 def word_max_scores(scores) -> Tensor:

@@ -201,14 +201,16 @@ def train(dataset: SyntheticDataset, config: TrainConfig, *,
         for plan in balanced_batches(dataset, config.batch_size, epoch_seed,
                                      include=train_idx, balanced=config.balanced_sampling):
             tape = GradTape()
-            total, report, bound = model.batch_loss(dataset, plan, tape)
-            if not np.isfinite(report.total):
-                raise NumericalError(
-                    f"total loss became non-finite at step {step}: {report.to_json()}")
-            grad_tensors = backward(total, tape)
-            grads = {name: np.asarray(grad_tensors[leaf].data)
-                     for name, leaf in bound.items()}
-            model.params = adam_step(model.params, grads, state, lr=config.learning_rate)
+            # an overflow shows as a non-finite loss, reported below, not as numpy warnings
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                total, report, bound = model.batch_loss(dataset, plan, tape)
+                if not np.isfinite(report.total):
+                    raise NumericalError(
+                        f"total loss became non-finite at step {step}: {report.to_json()}")
+                grad_tensors = backward(total, tape)
+                grads = {name: np.asarray(grad_tensors[leaf].data)
+                         for name, leaf in bound.items()}
+                model.params = adam_step(model.params, grads, state, lr=config.learning_rate)
             step += 1
             log.append({"type": "step", "step": step, "epoch": epoch, **report.to_json()})
         epoch_record = {"type": "epoch", "epoch": epoch, "step": step,

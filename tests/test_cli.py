@@ -4,7 +4,7 @@ import json
 import re
 import struct
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +12,11 @@ import pytest
 
 from fpmine.cli import (DATA_KEYS, ENCODER_KEYS, FLAG_KEYS, GEN_KEYS, MODEL_KEYS, TRAIN_KEYS,
                         _collect_settings, build_configs, build_parser, main, parse_config_file)
-from fpmine.dataset import load_dataset, write_atomic
+from fpmine.dataset import load_dataset, save_dataset, write_atomic
 from fpmine.errors import DataError
 from fpmine.evaluation import ABLATION_VARIANTS, variant_config
-from fpmine.training import _CKPT_VERSION, TrainConfig, gradcheck, load_checkpoint, train
+from fpmine.training import (_CKPT_VERSION, TrainConfig, gradcheck, load_checkpoint,
+                             save_checkpoint, train)
 
 CONFIG_KEYS = ENCODER_KEYS + TRAIN_KEYS + FLAG_KEYS + GEN_KEYS
 
@@ -280,13 +281,14 @@ class TestTrainEval:
         count = len(load_dataset(data_dir / "dataset.bin").samples)
         assert results["query_count"] == results["gallery_count"] == count
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_numerical_failure_exit_3(self, tmp_path, config_file, data_dir, capsys):
+        # the overflow is reported once, as the failure, with no numpy warning before it
         code = main(["train", "--config", config_file, "--lr", "1e300",
                      "--data", str(data_dir / "dataset.bin"), "--out", str(tmp_path / "r")])
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure:") and "Traceback" not in err
+        assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
 
     def test_epochs_zero_checkpoint_equals_init(self, tmp_path, config_file, data_dir):
         run = tmp_path / "run0"
@@ -349,6 +351,30 @@ class TestTrainEval:
                      "--data", str(files["dataset"]), "--out", str(tmp_path / "e")])
         assert code == 2
         assert f"trailing bytes in {grown}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spoiled", ["dataset", "checkpoint"])
+    def test_non_finite_value_exit_2(self, tmp_path, config_file, data_dir, capsys, spoiled):
+        run = tmp_path / "run"
+        assert main(["train", "--config", config_file, "--epochs", "0",
+                     "--data", str(data_dir / "dataset.bin"), "--out", str(run)]) == 0
+        if spoiled == "dataset":  # one NaN in one sample's image
+            ds = load_dataset(data_dir / "dataset.bin")
+            image = ds.samples[0].image_raw.copy()
+            image[0, 0] = np.nan
+            ds.samples[0] = replace(ds.samples[0], image_raw=image)
+            save_dataset(ds, data_dir / "dataset.bin")
+            command = ["train", "--config", config_file, "--out", str(tmp_path / "r2")]
+        else:  # one NaN weight
+            ckpt = load_checkpoint(run / "checkpoint.bin")
+            ckpt.params["img_embed_w"][0, 0] = np.nan
+            save_checkpoint(ckpt, run / "checkpoint.bin")
+            command = ["eval", "--checkpoint", str(run / "checkpoint.bin"),
+                       "--out", str(tmp_path / "e")]
+        capsys.readouterr()
+        assert main(command + ["--data", str(data_dir / "dataset.bin")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"non-finite value in {spoiled}" in err
+        assert "Traceback" not in err
 
     def test_unknown_tensor_prefix_is_data_error(self, tmp_path, config_file, data_dir):
         run = tmp_path / "run"

@@ -412,10 +412,10 @@ class TestGradientsAgainstDenseMaxCosineRule:
 # tape nodes of one toy batch per ablation variant: an upper bound, so a refactor that
 # removes nodes still passes and one that adds them fails. The global-only variant holds
 # two reshapes of local embeddings that no term reads (the encoders flatten them always).
-TAPE_NODES = {"global": 39, "local": 41, "global+local": 49, "local+mining": 70,
-              "global+local+mining": 78, "baseline": 49, "no_local_neg_ranking": 76,
-              "no_mining_mask": 77, "no_balanced_sample": 78, "learnable_boundary": 82,
-              "full": 78}
+TAPE_NODES = {"global": 37, "local": 39, "global+local": 47, "local+mining": 63,
+              "global+local+mining": 71, "baseline": 47, "no_local_neg_ranking": 69,
+              "no_mining_mask": 70, "no_balanced_sample": 71, "learnable_boundary": 75,
+              "full": 71}
 
 
 class TestTapeSize:

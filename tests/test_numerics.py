@@ -271,8 +271,11 @@ def composed_hinge(sim, diff, rows, cols, margin):
     """Two masked maxes, three gathers and the relu/mean chain hardest_negative_hinge replaced."""
     width = sim.shape[1]
     pos = nm.take_rows(sim.reshape((sim.size,)), rows * width + cols)
-    hard_r = nm.take_rows(nm.masked_max(sim, diff, axis=1, allow_empty=True), rows)
-    hard_c = nm.take_rows(nm.masked_max(sim, diff, axis=0, allow_empty=True), cols)
+    # a side without a negative takes the max of its whole line; its avail factor is 0
+    hard_r = nm.take_rows(nm.masked_max(sim, diff | ~diff.any(axis=1, keepdims=True), axis=1),
+                          rows)
+    hard_c = nm.take_rows(nm.masked_max(sim, diff | ~diff.any(axis=0, keepdims=True), axis=0),
+                          cols)
     side_r = nm.mul(nm.relu(nm.add(nm.sub(hard_r, pos), margin)), diff.any(axis=1)[rows] * 1.0)
     side_c = nm.mul(nm.relu(nm.add(nm.sub(hard_c, pos), margin)), diff.any(axis=0)[cols] * 1.0)
     return nm.mean(nm.add(side_r, side_c))
@@ -392,6 +395,31 @@ class TestMaxCosine:
         rng = np.random.default_rng(29)
         assert nodes_of(lambda x, y: nm.max_cosine(x, y, 2), rng.normal(size=(4, 3)),
                         rng.normal(size=(5, 3))) == 1
+
+    def test_leading_axes_equal_reshaped_rows_bit_for_bit(self):
+        # (n, K, d) regions against (m, L, d) words: the 2-D call on (n * K, d) and
+        # (m * L, d) rows, reshaped to (n, m, L), taped (value and both gradients),
+        # untaped, and written into a (2, n, m * L) out
+        rng = np.random.default_rng(30)
+        a, b = rng.normal(size=(3, 4, 5)), rng.normal(size=(2, 6, 5))
+        b[1, 2] = 2.0 * a[0, 1]                          # a clamped cosine
+        mix = rng.normal(size=(3, 2, 6)) * (rng.random((3, 2, 6)) < 0.5)
+
+        def flat(x, y):
+            return nm.max_cosine(x.reshape((12, 5)), y.reshape((12, 5)), 4).reshape((3, 2, 6))
+
+        new = nm.max_cosine(Tensor(a), Tensor(b), 4)
+        assert new.shape == (3, 2, 6)
+        assert new.data.tobytes() == flat(Tensor(a), Tensor(b)).data.tobytes()
+        out = np.full((2, 3, 12), np.nan)
+        into = nm.max_cosine(Tensor(a), Tensor(b), 4, out=out)
+        assert into.shape == (3, 2, 6) and np.shares_memory(into.data, out[0])
+        assert into.data.tobytes() == new.data.tobytes()
+        taped = nm.max_cosine(GradTape().leaf(a), b, 4)
+        assert taped.data.tobytes() == new.data.tobytes()
+        for gn, go in zip(grad_of(lambda x, y: (nm.max_cosine(x, y, 4) * mix).sum(), a, b),
+                          grad_of(lambda x, y: (flat(x, y) * mix).sum(), a, b)):
+            assert gn.shape == go.shape and gn.tobytes() == go.tobytes()
 
 
 def dense_max_cosine_grads(a, b, groups, g):
@@ -550,12 +578,31 @@ class TestLinear:
         assert_grad_matches(lambda *t: (nm.linear(*t) * mix).sum(), *self.arrays(bias))
 
     @pytest.mark.parametrize("shapes", [((5, 4), (3, 5), None), ((5, 4), (3, 4), (4,)),
-                                        ((2, 5, 4), (3, 4), None), ((4,), (3, 4), None),
+                                        ((2, 5, 4), (3, 5), None), ((4,), (3, 4), None),
                                         ((5, 4), (4,), None)])
     def test_shape_errors(self, shapes):
         x, w, b = (None if s is None else Tensor(np.ones(s)) for s in shapes)
         with pytest.raises(ShapeError):
             nm.linear(x, w, b)
+
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_leading_axes_equal_flattened_call_bit_for_bit(self, bias):
+        # (n, K, C) rows through a (P, C) weight: the 2-D call on the (n * K, C) rows,
+        # reshaped back, in the value and in every gradient
+        rng = np.random.default_rng(28)
+        x, w, b = rng.normal(size=(5, 3, 4)), rng.normal(size=(2, 4)), rng.normal(size=2)
+        arrays, mix = ((x, w, b) if bias else (x, w)), rng.normal(size=(5, 3, 2))
+
+        def flat(x, *wb):
+            return nm.linear(x.reshape((15, 4)), *wb).reshape((5, 3, 2))
+
+        new, old = nm.linear(*map(Tensor, arrays)), flat(*map(Tensor, arrays))
+        assert new.shape == (5, 3, 2) and new.data.tobytes() == old.data.tobytes()
+        grads_new = grad_of(lambda *t: (nm.linear(*t) * mix).sum(), *arrays)
+        grads_old = grad_of(lambda *t: (flat(*t) * mix).sum(), *arrays)
+        assert len(grads_new) == len(arrays)
+        for gn, go in zip(grads_new, grads_old):
+            assert gn.shape == go.shape and gn.tobytes() == go.tobytes()
 
     @pytest.mark.parametrize("bias", [True, False])
     def test_one_tape_node(self, bias):
@@ -813,6 +860,23 @@ class TestHelperOps:
         g = backward(out, tape)[a].data
         assert g.tolist() == [[2.0, 2.0], [1.0, 1.0]]
 
+    def test_take_rows_cells_equal_flat_gather_bit_for_bit(self):
+        # a tuple (i, j) gathers cells of the leading axes, as the flat rows i * m + j do;
+        # a pair taken twice accumulates its gradient
+        rng = np.random.default_rng(31)
+        a, mix = rng.normal(size=(3, 4, 5)), rng.normal(size=(6, 5))
+        i, j = np.array([2, 0, 2, 1, 2, 0]), np.array([3, 1, 3, 0, 1, 1])
+
+        def flat(x):
+            return nm.take_rows(x.reshape((12, 5)), i * 4 + j)
+
+        assert nm.take_rows(Tensor(a), (i, j)).data.tobytes() == flat(Tensor(a)).data.tobytes()
+        (gn,), (go,) = (grad_of(lambda x: (nm.take_rows(x, (i, j)) * mix).sum(), a),
+                        grad_of(lambda x: (flat(x) * mix).sum(), a))
+        assert gn.tobytes() == go.tobytes()
+        np.testing.assert_array_equal(gn[2, 3], mix[0] + mix[2])
+        np.testing.assert_array_equal(gn[0, 1], mix[1] + mix[5])
+
     def test_masked_max_ignores_invalid(self):
         m = Tensor([[1.0, 9.0], [5.0, 2.0]])
         mask = np.array([[True, False], [True, True]])
@@ -822,14 +886,6 @@ class TestHelperOps:
     def test_masked_max_empty_slice_rejected(self):
         with pytest.raises(ContractError):
             nm.masked_max(Tensor([[1.0], [2.0]]), np.array([[False], [True]]), axis=1)
-
-    def test_masked_max_empty_slice_default(self):
-        out = nm.masked_max(Tensor([[1.0], [2.0]]), np.array([[False], [True]]),
-                            axis=1, allow_empty=True, default=-7.0)
-        assert out.data.tolist() == [-7.0, 2.0]
-        g = grad_of(lambda x: nm.masked_max(x, np.array([[False], [True]]), axis=1,
-                                            allow_empty=True).sum(), np.array([[1.0], [2.0]]))
-        assert g[0].tolist() == [[0.0], [1.0]]  # the empty slice passes no gradient
 
     def test_masked_min(self):
         m = Tensor([[1.0, -9.0], [5.0, 2.0]])
@@ -923,8 +979,7 @@ def _op_cases():
     rng = np.random.default_rng(21)
     m, r, p = rng.normal(size=(4, 3)), rng.normal(size=3), np.abs(rng.normal(size=(4, 3))) + 0.1
     m[1, 2] = 0.0                                     # on the kink of relu
-    mask = rng.random((4, 3)) < 0.6
-    mask[2] = False                                   # an empty slice
+    mask = rng.random((4, 3)) < 0.6                   # no empty slice: every row has a True
     a, b = rng.normal(size=(8, 3)), rng.normal(size=(5, 3))
     x, w, hb = rng.normal(size=(4, 2, 3)), rng.normal(size=(2, 5, 3)), rng.normal(size=(2, 5))
     sq, neg = rng.normal(size=(4, 4)), ~np.eye(4, dtype=bool)
@@ -940,8 +995,8 @@ def _op_cases():
         "reshape": lambda t: nm.reshape(t(m), (3, 4)),
         "reduce_sum": lambda t: nm.reduce_sum(t(m), axis=1, keepdims=True),
         "reduce_max": lambda t: nm.reduce_max(t(m), axis=1),
-        "masked_max": lambda t: nm.masked_max(t(m), mask, axis=1, allow_empty=True),
-        "masked_min": lambda t: nm.masked_min(t(m), mask, axis=1, allow_empty=True),
+        "masked_max": lambda t: nm.masked_max(t(m), mask, axis=1),
+        "masked_min": lambda t: nm.masked_min(t(m), mask, axis=1),
         "maximum": lambda t: nm.maximum(t(m), 0.1),
         "minimum": lambda t: nm.minimum(t(m), 0.1),
         "relu": lambda t: nm.relu(t(m)),
@@ -956,6 +1011,7 @@ def _op_cases():
         "max_cosine": lambda t: nm.max_cosine(t(a), t(b), 4),
         "linear": lambda t: nm.linear(t(m), t(a), t(a[:, 0])),
         "linear:no-bias": lambda t: nm.linear(t(m), t(a)),
+        "linear:rows": lambda t: nm.linear(t(x), t(a), t(a[:, 0])),
         "linear:per-strip": lambda t: nm.linear(t(x), t(w), t(hb)),
         "linear:shared": lambda t: nm.linear(t(x[:, 0]), t(w), t(hb)),
         "cross_entropy": lambda t: nm.cross_entropy(t(m), [0, 2, 1, 2]),
