@@ -2,8 +2,9 @@
 
 Every command resolves its configuration (defaults < config file < CLI
 flags), writes a replayable ``manifest.json`` into the run directory
-before doing any work, and exits with 0 on success, 1 on configuration
-errors, 2 on data errors, 3 on numerical failure.
+before any output (``gen-data`` generates its dataset in memory first;
+the others write it before any work), and exits with 0 on success, 1 on
+configuration errors, 2 on data errors, 3 on numerical failure.
 """
 
 from __future__ import annotations
@@ -143,13 +144,14 @@ def cmd_gen_data(args) -> int:
     encoder, _tc, gen = build_configs(_collect_settings(args, DATA_KEYS))
     run_dir = Path(args.out)
     seed = int(args.seed)
-    identities = int(gen.pop("identities", 50))
-    per_identity = int(gen.pop("samples_per_identity", 10))
+    identities = gen.pop("identities", 50)
+    per_identity = gen.pop("samples_per_identity", 10)
     resolved = {"encoder": asdict(encoder), "generator": {
         "seed": seed, "identities": identities, "samples_per_identity": per_identity, **gen}}
+    # generated first: the generator checks its settings, and a bad one writes no manifest
+    dataset = generate_synthetic_dataset(seed, identities, per_identity, encoder, **gen)
     write_manifest(run_dir, "gen-data", resolved, [Path(args.config)] if args.config else [],
                    ["dataset.bin", "dataset.json"], seed)
-    dataset = generate_synthetic_dataset(seed, identities, per_identity, encoder, **gen)
     save_dataset(dataset, run_dir / "dataset.bin")
     export_json(dataset, run_dir / "dataset.json")
     print(f"wrote {len(dataset.samples)} samples "

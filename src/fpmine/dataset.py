@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -104,6 +105,20 @@ def generate_synthetic_dataset(seed: int, identity_count: int, samples_per_ident
     omits, but contradiction evidence only needs the contradicted word to
     be present.
     """
+    counts = dict(identity_count=identity_count, samples_per_identity=samples_per_identity,
+                  attribute_count=attribute_count, flip_count=flip_count,
+                  detail_count=detail_count, min_hamming=min_hamming)
+    levels = dict(noise=noise, text_noise=0.0 if text_noise is None else text_noise,
+                  hard_negative_fraction=hard_negative_fraction,
+                  detail_strength=detail_strength, strong_token_keep=strong_token_keep)
+    for group, kind, what in ((counts, numbers.Integral, "an integer"),
+                              (levels, numbers.Real, "a finite real number")):
+        for name, value in group.items():
+            if (isinstance(value, bool) or not isinstance(value, kind)
+                    or kind is numbers.Real and not math.isfinite(value)):
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
+    if min_hamming < 0:
+        raise ConfigError("min_hamming must be >= 0")
     if identity_count < 2:
         raise ConfigError("identity_count must be >= 2 (ranking needs negatives)")
     if samples_per_identity < 1:

@@ -27,10 +27,10 @@ mined evidence is still <= 0. At tau = 0 both hinges equal the
 fixed-boundary ones.
 
 Each objective has one implementation, a batched kernel that training
-calls on a whole batch plan (the ranking loss is ``numerics``'s
-``hardest_negative_hinge``, which the model calls directly); the per-pair
-functions keep their signatures as adapters that wrap their arguments as
-a batch of one.
+calls on a whole batch plan. The word hinges and the ranking loss are the
+``numerics`` kernels ``matched_word_hinge``, ``mismatched_word_hinge`` and
+``hardest_negative_hinge``, which the model calls directly; the per-pair
+functions keep their signatures as adapters over a batch of one.
 """
 
 from __future__ import annotations
@@ -78,57 +78,6 @@ class LossReport:
         return asdict(self)
 
 
-def _pair_rows(word_scores: Tensor, text_mask, pairs_img, pairs_txt):
-    """(pairs, L) rows of an (n_img, n_txt, L) word-score tensor, and their word masks."""
-    pairs_txt = np.asarray(pairs_txt, dtype=np.intp)
-    rows = nm.take_rows(word_scores, (pairs_img, pairs_txt))
-    return rows, np.asarray(text_mask, dtype=bool)[pairs_txt]
-
-
-def batch_matched_word_loss(word_scores, text_mask, pairs_img, pairs_txt,
-                            weights: LossWeights, boundary=0.0) -> Tensor:
-    """Mean over pairs of the mean of max(bias - (s_i - boundary), 0) over words.
-
-    ``word_scores`` is (n_img, n_txt, L) and ``text_mask`` (n_txt, L); pair
-    p is cell (pairs_img[p], pairs_txt[p]).
-    """
-    rows, valid = _pair_rows(word_scores, text_mask, pairs_img, pairs_txt)
-    if isinstance(boundary, Tensor) or boundary != 0.0:
-        rows = nm.sub(rows, boundary)
-    hinge = nm.relu(nm.sub(weights.matched_bias, rows))
-    per_pair = nm.mul(nm.mul(hinge, valid.astype(np.float64)).sum(axis=1),
-                      1.0 / valid.sum(axis=1))
-    return nm.mean(per_pair)
-
-
-def evidence_cut(boundary):
-    """min(boundary, 0): the cut a mismatched pair's weakest word must clear.
-
-    Mined evidence of at most -bias needs the weakest word that far
-    below the boundary (to be selected) and below zero (its raw value).
-    No gradient reaches the boundary at or above zero, the kink included.
-    """
-    if isinstance(boundary, Tensor):
-        return nm.minimum(boundary, 0.0)
-    return min(boundary, 0.0)
-
-
-def batch_mismatched_word_loss(word_scores, text_mask, pairs_img, pairs_txt,
-                               weights: LossWeights, boundary=0.0) -> Tensor:
-    """Mean over pairs of max(min_i s_i - min(boundary, 0) + bias, 0).
-
-    Arguments as in ``batch_matched_word_loss``; no pairs cost 0.
-    """
-    if len(pairs_img) == 0:
-        return Tensor(0.0)
-    rows, valid = _pair_rows(word_scores, text_mask, pairs_img, pairs_txt)
-    s_min = nm.masked_min(rows, valid, axis=1)
-    if isinstance(boundary, Tensor) or boundary != 0.0:
-        s_min = nm.sub(s_min, evidence_cut(boundary))
-    per_pair = nm.relu(nm.add(s_min, weights.mismatched_bias))
-    return nm.mean(per_pair)
-
-
 def mean_identity_loss(embeddings, labels, classifier) -> Tensor:
     """Identity cross-entropy of softmax(embedding @ classifier.T), averaged over rows."""
     return nm.cross_entropy(nm.linear(embeddings, classifier), labels)
@@ -151,7 +100,7 @@ def matched_word_loss(word_scores, weights: LossWeights, boundary=0.0) -> Tensor
     every score clears boundary + bias.
     """
     scores, mask = _one_pair(word_scores, "matched_word_loss")
-    return batch_matched_word_loss(scores, mask, [0], [0], weights, boundary)
+    return nm.matched_word_hinge(scores, mask, [0], [0], weights.matched_bias, boundary)
 
 
 def mismatched_word_loss(word_scores, weights: LossWeights, boundary=0.0) -> Tensor:
@@ -161,7 +110,7 @@ def mismatched_word_loss(word_scores, weights: LossWeights, boundary=0.0) -> Ten
     minimum drops to min(boundary, 0) - bias or lower.
     """
     scores, mask = _one_pair(word_scores, "mismatched_word_loss")
-    return batch_mismatched_word_loss(scores, mask, [0], [0], weights, boundary)
+    return nm.mismatched_word_hinge(scores, mask, [0], [0], weights.mismatched_bias, boundary)
 
 
 def identity_loss(x, label: int, classifier) -> Tensor:

@@ -4,13 +4,13 @@ One code path serves training and evaluation: ops record onto a GradTape
 when one is supplied and run as plain array math when it is None. The
 model only gathers a batch (encodes its images and padded captions, and
 maps plan pairs to batch rows) and calls the batched kernels: ``numerics``
-for the global and local cosines and the ranking hinge, ``similarity`` and
+for the cosines, the word hinges and the ranking hinge, ``similarity`` and
 ``losses`` for the rest; the per-pair functions there call the same ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
@@ -49,6 +49,9 @@ class ModelFlags:
     learnable_boundary: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            if not isinstance(getattr(self, f.name), bool):
+                raise ConfigError(f"{f.name} must be true or false, got {getattr(self, f.name)!r}")
         if self.use_mining and not self.use_local:
             raise ConfigError("the mining branch requires the local branch")
         if not (self.use_global or self.use_local):
@@ -182,10 +185,10 @@ class Model:
         matched_t = mismatched_t = 0.0
         if flags.use_mining:
             tau = self.boundary(bound)
-            matched_t = ls.batch_matched_word_loss(word_scores, texts.mask, pos_img, pos_txt,
-                                                   w, tau)
-            mismatched_t = ls.batch_mismatched_word_loss(word_scores, texts.mask,
-                                                         *rows(plan.mismatched), w, tau)
+            matched_t = nm.matched_word_hinge(word_scores, texts.mask, pos_img, pos_txt,
+                                              w.matched_bias, tau)
+            mismatched_t = nm.mismatched_word_hinge(word_scores, texts.mask,
+                                                    *rows(plan.mismatched), w.mismatched_bias, tau)
 
         identity_t = self._identity_term(images, texts, img_labels, txt_labels, bound)
 

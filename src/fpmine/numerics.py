@@ -709,6 +709,66 @@ def hardest_negative_hinge(sim, negatives, rows, cols, margin: float) -> Tensor:
     return _emit(out, (s,), bw)
 
 
+def _word_pairs(scores, mask, rows, cols, boundary):
+    """The word hinges' checked arguments: Tensors, the pairs' cells, (pairs, L) rows, masks."""
+    s, tau, mask = _as_tensor(scores), _as_tensor(boundary), np.asarray(mask, dtype=bool)
+    cells = (np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp))
+    if (s.ndim != 3 or mask.shape != s.shape[1:] or cells[0].ndim != 1
+            or cells[1].shape != cells[0].shape or tau.ndim != 0):
+        raise ShapeError(f"word hinge of {s.shape} scores with a {mask.shape} mask, pairs "
+                         f"{cells[0].shape}, {cells[1].shape} and a {tau.shape} boundary")
+    valid = mask[cells[1]]
+    if not valid.any(axis=1).all():
+        raise ContractError("a word hinge pair has no valid word")
+    return s, tau, cells, s.data[cells], valid
+
+
+def matched_word_hinge(scores, mask, rows, cols, bias: float, boundary=0.0) -> Tensor:
+    """Mean over pairs of the mean over their valid words of max(bias - (s - boundary), 0).
+
+    Pair p is cell (rows[p], cols[p]) of the (n, m, L) word ``scores``; the constant
+    (m, L) ``mask`` marks each column's valid words. ``boundary`` is a float (a
+    constant) or a scalar Tensor, which gets a gradient. No pairs cost 0.
+    """
+    s, tau, cells, x, valid = _word_pairs(scores, mask, rows, cols, boundary)
+    if not len(x):
+        return Tensor(0.0)
+    n, validf, inv_len = len(x), valid.astype(np.float64), 1.0 / valid.sum(axis=1)
+    x = bias - (x - tau.data)
+    out = np.sum(np.sum(np.maximum(x, 0.0) * validf, axis=1) * inv_len) * (1.0 / n)
+
+    def bw(g):
+        gk = (np.broadcast_to(g * (1.0 / n), (n,)) * inv_len)[:, None] * validf * (x > 0.0)
+        gs = np.zeros_like(s.data)
+        np.add.at(gs, cells, -gk)
+        return gs, _unbroadcast(gk, tau.shape)
+
+    return _emit(out, (s, tau), bw)
+
+
+def mismatched_word_hinge(scores, mask, rows, cols, bias: float, boundary=0.0) -> Tensor:
+    """Mean over pairs of max(min_i s_i - min(boundary, 0) + bias, 0), the min taken over
+    each pair's valid words; arguments as in ``matched_word_hinge``. Ties route to the
+    lowest index; no gradient reaches the boundary at or above zero.
+    """
+    s, tau, cells, x, valid = _word_pairs(scores, mask, rows, cols, boundary)
+    if not len(x):
+        return Tensor(0.0)
+    n, work = len(x), np.where(valid, -x, -np.inf)
+    gap = -np.max(work, axis=1) - np.minimum(tau.data, 0.0) + bias
+    out = np.sum(np.maximum(gap, 0.0)) * (1.0 / n)
+
+    def bw(g):
+        gk = np.broadcast_to(g * (1.0 / n), (n,)) * (gap > 0.0)
+        gx = np.zeros(x.shape)
+        np.put_along_axis(gx, np.argmax(work, axis=1)[:, None], gk[:, None], axis=1)
+        gs = np.zeros_like(s.data)
+        np.add.at(gs, cells, gx)
+        return gs, _unbroadcast(-gk, tau.shape) * (tau.data < 0.0)
+
+    return _emit(out, (s, tau), bw)
+
+
 def dot(a, b) -> Tensor:
     return reduce_sum(mul(a, b))
 
@@ -783,6 +843,7 @@ __all__ = [
     "sqrt", "exp", "log",
     "take_rows", "stack", "l2_normalize",
     "cosine", "max_cosine", "linear", "cross_entropy", "hardest_negative_hinge",
+    "matched_word_hinge", "mismatched_word_hinge",
     "dot", "mean",
     "max_pool_rows", "max_pool_cols", "logsumexp",
     "finite_difference_grad",

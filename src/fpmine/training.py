@@ -46,6 +46,9 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.balanced_sampling, bool):
+            raise ConfigError(
+                f"balanced_sampling must be true or false, got {self.balanced_sampling!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 0:
@@ -175,7 +178,8 @@ def train(dataset: SyntheticDataset, config: TrainConfig, *,
     """Run (or resume) training; returns the checkpoint, log, and model.
 
     The log holds one JSON-ready record per step plus epoch/validation
-    records. Aborts with NumericalError if the total loss goes non-finite.
+    records. Aborts with NumericalError if the total loss or, after an Adam
+    update, a parameter goes non-finite.
     """
     from .evaluation import evaluate_retrieval  # local import: avoids a cycle
 
@@ -211,6 +215,9 @@ def train(dataset: SyntheticDataset, config: TrainConfig, *,
                 grads = {name: np.asarray(grad_tensors[leaf].data)
                          for name, leaf in bound.items()}
                 model.params = adam_step(model.params, grads, state, lr=config.learning_rate)
+                bad = next((k for k, p in model.params.items() if not np.isfinite(p).all()), None)
+                if bad is not None:
+                    raise NumericalError(f"the Adam update of step {step} made {bad} non-finite")
             step += 1
             log.append({"type": "step", "step": step, "epoch": epoch, **report.to_json()})
         epoch_record = {"type": "epoch", "epoch": epoch, "step": step,

@@ -175,6 +175,20 @@ class TestGenData:
                      "--out", str(tmp_path / "x")])
         assert code == 1
 
+    @pytest.mark.parametrize("doc", [{"identities": "abc"}, {"noise": "x"},
+                                     {"identities": 2.7, "samples_per_identity": 2},
+                                     {"noise": float("nan")}, {"min_hamming": -1}],
+                             ids=["identities-string", "noise-string", "identities-float",
+                                  "noise-nan", "min-hamming-negative"])
+    def test_malformed_generator_setting_exit_1(self, tmp_path, capsys, doc):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(doc))
+        code = main(["gen-data", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and len(err.splitlines()) == 1
+        assert not (tmp_path / "x").exists()
+
     def test_training_key_exit_1(self, tmp_path, capsys):
         config = tmp_path / "c.cfg"
         config.write_text(DATA_CONFIG_TEXT + CONFIG_TEXT)
@@ -289,6 +303,47 @@ class TestTrainEval:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
+
+    def test_adam_overflow_exit_3(self, tmp_path, capsys):
+        # the first loss is finite; the update overflows lr * m_hat to inf
+        assert main(["gen-data", "--seed", "2", "--identities", "6", "--per-identity", "3",
+                     "--out", str(tmp_path / "d")]) == 0
+        capsys.readouterr()
+        code = main(["train", "--data", str(tmp_path / "d" / "dataset.bin"), "--seed", "0",
+                     "--lr", "1.7e308", "--epochs", "1", "--batch-size", "2",
+                     "--out", str(tmp_path / "r")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
+        assert "step 0" in err and "non-finite" in err
+
+    @pytest.mark.parametrize("name,text", [
+        ("t.cfg", "use_mining = False\n"), ("t.json", '{"use_global": "no"}'),
+        ("t.cfg", "balanced_sampling = \"yes\"\n"), ("t.json", '{"learnable_boundary": 1}')],
+        ids=["bare-False", "json-string", "balanced-sampling-string", "json-integer"])
+    def test_boolean_setting_that_is_not_a_bool_exit_1(self, tmp_path, data_dir, capsys,
+                                                       name, text):
+        config = tmp_path / name
+        config.write_text(text)
+        code = main(["train", "--config", str(config), "--epochs", "1", "--batch-size", "8",
+                     "--data", str(data_dir / "dataset.bin"), "--out", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and len(err.splitlines()) == 1
+        assert "must be true or false" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_lowercase_false_trains_without_mining(self, tmp_path, data_dir):
+        config = tmp_path / "t.cfg"
+        config.write_text("use_mining = false\nepochs = 1\nbatch_size = 8\n")
+        run = tmp_path / "r"
+        code = main(["train", "--config", str(config), "--data", str(data_dir / "dataset.bin"),
+                     "--out", str(run)])
+        assert code == 0
+        assert load_checkpoint(run / "checkpoint.bin").train_config.flags.use_mining is False
+        steps = [json.loads(line) for line in (run / "log.ndjson").read_text().splitlines()]
+        steps = [r for r in steps if r["type"] == "step"]
+        assert steps and all(r["matched"] == r["mismatched"] == 0.0 for r in steps)
 
     def test_epochs_zero_checkpoint_equals_init(self, tmp_path, config_file, data_dir):
         run = tmp_path / "run0"
@@ -548,6 +603,13 @@ class TestGradcheckCommand:
             assert np.array_equal(a.text_raw, b.text_raw)
         resolved = json.loads((tmp_path / "gc" / "manifest.json").read_text())["resolved_config"]
         assert resolved["data"] == str(path)
+
+    def test_malformed_toy_data_setting_exit_1(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text('{"identities": "abc"}')
+        assert main(["gradcheck", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and len(err.splitlines()) == 1
 
     def test_impossible_tolerance_exit_3(self, tmp_path):
         code = main(["gradcheck", "--tolerance", "1e-18", "--out", str(tmp_path / "gc")])

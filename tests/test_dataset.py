@@ -52,6 +52,25 @@ class TestGenerator:
         with pytest.raises(ConfigError):
             gen(identities=1)
 
+    @pytest.mark.parametrize("name,value", [
+        ("identities", "abc"), ("identities", 2.7), ("per_id", 2.0), ("identities", True),
+        ("attribute_count", "5"), ("flip_count", 1.5), ("detail_count", None),
+        ("min_hamming", True), ("noise", "x"), ("text_noise", "0.1"),
+        ("hard_negative_fraction", None), ("detail_strength", [0.2]),
+        ("strong_token_keep", False), ("noise", float("nan")), ("text_noise", float("inf"))])
+    def test_setting_of_the_wrong_type_rejected(self, name, value):
+        with pytest.raises(ConfigError, match="must be (an integer|a finite real number)"):
+            gen(**{name: value})
+
+    def test_negative_min_hamming_rejected(self):
+        # the dataset file stores it unsigned
+        with pytest.raises(ConfigError, match="min_hamming"):
+            gen(min_hamming=-1)
+
+    def test_numpy_numbers_and_default_text_noise_accepted(self):
+        ds = gen(identities=np.int64(3), noise=np.float64(0.1), text_noise=None)
+        assert len(ds.samples) == 9
+
     def test_attribute_overflow_rejected(self):
         with pytest.raises(ConfigError):
             generate_synthetic_dataset(0, 4, 2, CFG, attribute_count=CFG.max_words + 1)

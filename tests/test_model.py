@@ -409,13 +409,14 @@ class TestGradientsAgainstDenseMaxCosineRule:
                                            atol=1e-13 * np.abs(g).max(), err_msg=name)
 
 
-# tape nodes of one toy batch per ablation variant: an upper bound, so a refactor that
-# removes nodes still passes and one that adds them fails. The global-only variant holds
-# two reshapes of local embeddings that no term reads (the encoders flatten them always).
-TAPE_NODES = {"global": 37, "local": 39, "global+local": 47, "local+mining": 63,
-              "global+local+mining": 71, "baseline": 47, "no_local_neg_ranking": 69,
-              "no_mining_mask": 70, "no_balanced_sample": 71, "learnable_boundary": 75,
-              "full": 71}
+# tape nodes of one toy batch per ablation variant, exactly: a change that adds or removes
+# nodes updates these counts, and with them the figure ROADMAP tracks. The global-only
+# variant holds two reshapes of local embeddings that no term reads (the encoders flatten
+# them always).
+TAPE_NODES = {"global": 37, "local": 39, "global+local": 47, "local+mining": 51,
+              "global+local+mining": 59, "baseline": 47, "no_local_neg_ranking": 57,
+              "no_mining_mask": 58, "no_balanced_sample": 59, "learnable_boundary": 60,
+              "full": 59}
 
 
 class TestTapeSize:
@@ -426,7 +427,7 @@ class TestTapeSize:
         tape = GradTape()
         flags = variant_config(TrainConfig(), variant).flags
         Model(CFG, flags, seed=5).batch_loss(ds, plan, tape)
-        assert len(tape) <= TAPE_NODES[variant]
+        assert len(tape) == TAPE_NODES[variant]
 
     def test_dropped_tape_freed_without_cyclic_gc(self):
         import gc

@@ -281,6 +281,24 @@ def composed_hinge(sim, diff, rows, cols, margin):
     return nm.mean(nm.add(side_r, side_c))
 
 
+def composed_word_hinges(scores, mask, rows, cols, boundary):
+    """The take_rows -> sub -> relu -> mul -> sum -> mean chain of the matched hinge and the
+    masked_min chain of the mismatched one, at biases 0.001 and 0.15: (matched, mismatched),
+    the compositions matched_word_hinge and mismatched_word_hinge replaced."""
+    learnable = isinstance(boundary, Tensor)
+    valid = mask[cols]
+    word_rows = nm.take_rows(scores, (rows, cols))
+    if learnable or boundary != 0.0:
+        word_rows = nm.sub(word_rows, boundary)
+    hinge = nm.relu(nm.sub(0.001, word_rows))
+    matched = nm.mean(nm.mul(nm.mul(hinge, valid.astype(np.float64)).sum(axis=1),
+                             1.0 / valid.sum(axis=1)))
+    s_min = nm.masked_min(nm.take_rows(scores, (rows, cols)), valid, axis=1)
+    if learnable or boundary != 0.0:
+        s_min = nm.sub(s_min, nm.minimum(boundary, 0.0) if learnable else min(boundary, 0.0))
+    return matched, nm.mean(nm.relu(nm.add(s_min, 0.15)))
+
+
 def assert_same_op(new, old, *arrays):
     """Equal values and gradients (to 1e-12) of two scalar functions of the arrays."""
     np.testing.assert_allclose(new(*map(Tensor, arrays)).item(),
@@ -732,6 +750,95 @@ class TestHardestNegativeHinge:
                         np.ones((3, 3))) == 1
 
 
+def word_hinge_case(seed=32):
+    """(3, 4, 5) word scores, a (4, 5) mask with padded words, and pairs that repeat a cell.
+    Both hinges are active on the repeated pair; the mismatched one is idle on pair 1."""
+    rng = np.random.default_rng(seed)
+    scores = rng.uniform(-0.2, 0.4, size=(3, 4, 5))
+    mask = np.arange(5) < np.array([5, 3, 1, 4])[:, None]
+    scores[:, ~mask] = -0.9        # padding below every valid word: the min must skip it
+    return scores, mask, np.array([0, 1, 2, 2, 0, 1]), np.array([0, 1, 2, 3, 0, 3])
+
+
+def assert_word_hinges_bitwise(scores, mask, rows, cols, boundary):
+    """Both kernels equal their compositions bit for bit: value and the gradients of the
+    scores and, for a Tensor boundary, of it. The gradients flow back from 0.3 times the
+    hinge, so that each rounds its upstream gradient as its composition does."""
+    kernels = (nm.matched_word_hinge, nm.mismatched_word_hinge)
+    biases = (0.001, 0.15)
+    for k, (kernel, bias) in enumerate(zip(kernels, biases)):
+        def new(s, *tau):
+            return kernel(s, mask, rows, cols, bias, *(tau or (boundary,)))
+
+        def old(s, *tau):
+            return composed_word_hinges(s, mask, rows, cols, *(tau or (boundary,)))[k]
+
+        arrays = (scores,) + ((boundary.data,) if isinstance(boundary, Tensor) else ())
+        assert np.array_equal(new(*map(Tensor, arrays)).data, old(*map(Tensor, arrays)).data)
+        grads_new = grad_of(lambda *ts: nm.mul(new(*ts), 0.3), *arrays)
+        grads_old = grad_of(lambda *ts: nm.mul(old(*ts), 0.3), *arrays)
+        assert len(grads_new) == len(arrays)
+        for gn, go in zip(grads_new, grads_old):
+            assert np.array_equal(gn, go), kernel.__name__
+
+
+class TestWordHinges:
+    @pytest.mark.parametrize("tau", [-0.03, 0.04])
+    def test_learnable_boundary_matches_composition(self, tau):
+        scores, mask, rows, cols = word_hinge_case()
+        assert_word_hinges_bitwise(scores, mask, rows, cols, Tensor(tau))
+
+    @pytest.mark.parametrize("tau", [0.05, -0.02, 0.0])
+    def test_fixed_boundary_matches_composition(self, tau):
+        scores, mask, rows, cols = word_hinge_case()
+        assert_word_hinges_bitwise(scores, mask, rows, cols, tau)
+
+    def test_learnable_boundary_gets_gradient_below_zero_only(self):
+        scores, mask, rows, cols = word_hinge_case()
+        scores[...] = 0.1                      # every weakest word is 0.1: all pairs active
+        for tau, want in ((-0.2, -1.0), (0.2, 0.0)):
+            g = grad_of(lambda s, t: nm.mismatched_word_hinge(s, mask, rows, cols, 0.15, t),
+                        scores, np.array(tau))[1]
+            assert g == pytest.approx(want, abs=1e-15)
+
+    def test_tie_for_weakest_word_routes_to_lowest_index(self):
+        scores = np.array([[[0.2, -0.1, 0.3, -0.1, -0.5]]])
+        mask = np.array([[True, True, True, True, False]])     # the -0.5 is padding
+        g = grad_of(lambda s: nm.mismatched_word_hinge(s, mask, [0], [0], 0.15), scores)[0]
+        assert g.tolist() == [[[0.0, 1.0, 0.0, 0.0, 0.0]]]
+        for tau in (Tensor(-0.01), 0.0):
+            assert_word_hinges_bitwise(scores, mask, [0], [0], tau)
+
+    def test_no_pairs_cost_nothing(self):
+        scores, mask, _, _ = word_hinge_case()
+        for kernel in (nm.matched_word_hinge, nm.mismatched_word_hinge):
+            assert kernel(Tensor(scores), mask, [], [], 0.1).item() == 0.0
+
+    @pytest.mark.parametrize("bad", ["2-D scores", "mask shape", "pair shapes", "boundary"])
+    def test_bad_shapes_raise(self, bad):
+        scores, mask, rows, cols = word_hinge_case()
+        args = {"2-D scores": (scores[0], mask[0], rows, cols, 0.0),
+                "mask shape": (scores, mask[:3], rows, cols, 0.0),
+                "pair shapes": (scores, mask, rows, cols[:2], 0.0),
+                "boundary": (scores, mask, rows, cols, Tensor([0.1, 0.2]))}[bad]
+        for kernel in (nm.matched_word_hinge, nm.mismatched_word_hinge):
+            with pytest.raises(ShapeError):
+                kernel(args[0], args[1], args[2], args[3], 0.1, args[4])
+
+    def test_pair_without_valid_word_rejected(self):
+        scores, mask, rows, cols = word_hinge_case()
+        mask[1] = False
+        for kernel in (nm.matched_word_hinge, nm.mismatched_word_hinge):
+            with pytest.raises(ContractError):
+                kernel(Tensor(scores), mask, rows, cols, 0.1)
+
+    def test_one_tape_node(self):
+        scores, mask, rows, cols = word_hinge_case()
+        for kernel in (nm.matched_word_hinge, nm.mismatched_word_hinge):
+            assert nodes_of(lambda s, t: kernel(s, mask, rows, cols, 0.1, t),
+                            scores, np.array(-0.01)) == 1
+
+
 class TestMaxPool:
     def test_rows_hand_value(self):
         out = nm.max_pool_rows(Tensor([[1.0, 5.0], [3.0, 2.0]]))
@@ -983,6 +1090,7 @@ def _op_cases():
     a, b = rng.normal(size=(8, 3)), rng.normal(size=(5, 3))
     x, w, hb = rng.normal(size=(4, 2, 3)), rng.normal(size=(2, 5, 3)), rng.normal(size=(2, 5))
     sq, neg = rng.normal(size=(4, 4)), ~np.eye(4, dtype=bool)
+    ws, tau = rng.uniform(-0.3, 0.3, size=(2, 4, 3)), np.array(-0.05)  # (4, 3) mask
     return {
         "add": lambda t: nm.add(t(m), t(r)),
         "sub": lambda t: nm.sub(t(m), t(r)),
@@ -1017,6 +1125,10 @@ def _op_cases():
         "cross_entropy": lambda t: nm.cross_entropy(t(m), [0, 2, 1, 2]),
         "hardest_negative_hinge": lambda t: nm.hardest_negative_hinge(
             t(sq), neg, np.arange(4), np.arange(4), 0.2),
+        "matched_word_hinge": lambda t: nm.matched_word_hinge(
+            t(ws), mask, [0, 1, 1], [2, 0, 3], 0.001, t(tau)),
+        "mismatched_word_hinge": lambda t: nm.mismatched_word_hinge(
+            t(ws), mask, [0, 1, 1], [2, 0, 3], 0.15, t(tau)),
         "dot": lambda t: nm.dot(t(r), t(m[0])),
         "mean": lambda t: nm.mean(t(m), axis=0),
         "max_pool_rows": lambda t: nm.max_pool_rows(t(m)),
