@@ -244,13 +244,12 @@ def cmd_gradcheck(args) -> int:
                     shared_dim=min(encoder.shared_dim, 8),
                     projection_dim=min(encoder.projection_dim, 6)),
             **{"noise": 0.25, **gen})
+    report = gradcheck(dataset, tc, tolerance=args.tolerance)  # checks the tolerance first
     if run_dir is not None:
         write_manifest(run_dir, "gradcheck",
                        {"train": tc.to_json(), "tolerance": args.tolerance, **source},
                        [Path(p) for p in (args.data, args.config) if p],
                        ["gradcheck.json"], tc.seed)
-    report = gradcheck(dataset, tc, tolerance=args.tolerance)
-    if run_dir is not None:
         _write_json(run_dir / "gradcheck.json", report.to_json())
     status = "PASS" if report.passed else "FAIL"
     print(f"{status}: max relative error {report.max_rel_error:.3e} "

@@ -18,7 +18,8 @@ reduction via explicit masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 from typing import Mapping
 
 import numpy as np
@@ -42,12 +43,12 @@ class EncoderConfig:
     text_raw_dim: int = 24     # raw feature width per token
 
     def __post_init__(self):
-        for name in ("feature_dim", "shared_dim", "projection_dim", "max_words",
-                     "identity_count", "image_raw_dim", "text_raw_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.region_count < 2:
-            raise ConfigError(f"region_count must be >= 2, got {self.region_count}")
+        for f in fields(self):
+            value, least = getattr(self, f.name), 2 if f.name == "region_count" else 1
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if value < least:
+                raise ConfigError(f"{f.name} must be >= {least}, got {value}")
 
     def with_identity_count(self, identity_count: int) -> "EncoderConfig":
         return replace(self, identity_count=identity_count)
@@ -93,19 +94,19 @@ class EmbeddingBundle:
 class ImageEncodings:
     """Batched image representations (N samples)."""
 
-    region_feats: Tensor   # (N, K, C)
-    local_embed: Tensor    # (N, K * P), region-major
-    global_embed: Tensor   # (N, P)
+    region_feats: Tensor          # (N, K, C)
+    local_embed: Tensor | None    # (N, K * P), region-major; None if the head was skipped
+    global_embed: Tensor | None   # (N, P); None if the head was skipped
 
 
 @dataclass(frozen=True)
 class TextEncodings:
     """Batched text representations (N samples, padded to a common length)."""
 
-    word_feats: Tensor     # (N, L, C)
-    local_embed: Tensor    # (N, K * P), region-major
-    global_embed: Tensor   # (N, P)
-    mask: np.ndarray       # (N, L) bool, True at valid tokens
+    word_feats: Tensor            # (N, L, C)
+    local_embed: Tensor | None    # as in ImageEncodings
+    global_embed: Tensor | None
+    mask: np.ndarray              # (N, L) bool, True at valid tokens
 
 
 ENCODER_PARAM_SHAPES = {
@@ -131,22 +132,28 @@ def encoder_param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
 
 def encode_images_batch(raws, params: Mapping[str, Tensor | np.ndarray],
                         config: EncoderConfig) -> ImageEncodings:
-    """Encode a stack of raw image grids (N, K, image_raw_dim)."""
+    """Encode a stack of raw image grids (N, K, image_raw_dim). A head whose weights
+    ``params`` does not hold (``img_local_*`` or ``img_global_*``) is skipped: its
+    embedding is None."""
     r = raws if isinstance(raws, Tensor) else Tensor(raws)
     k, raw_dim = config.region_count, config.image_raw_dim
     if r.ndim != 3 or r.shape[1:] != (k, raw_dim):
         raise ShapeError(f"expected image raws (N, {k}, {raw_dim}), got {r.shape}")
     region_feats = nm.linear(r, params["img_embed_w"], params["img_embed_b"])
-    local_embed = nm.linear(region_feats, params["img_local_w"], params["img_local_b"]).reshape(
-        (r.shape[0], k * config.shared_dim))
-    pooled = region_feats.max(axis=1)
-    global_embed = nm.linear(pooled, params["img_global_w"], params["img_global_b"])
+    local_embed = global_embed = None
+    if "img_local_w" in params:
+        local_embed = nm.linear(region_feats, params["img_local_w"],
+                                params["img_local_b"]).reshape((r.shape[0], k * config.shared_dim))
+    if "img_global_w" in params:
+        global_embed = nm.linear(region_feats.max(axis=1), params["img_global_w"],
+                                 params["img_global_b"])
     return ImageEncodings(region_feats, local_embed, global_embed)
 
 
 def encode_texts_batch(raws, lengths, params: Mapping[str, Tensor | np.ndarray],
                        config: EncoderConfig) -> TextEncodings:
-    """Encode padded token batches (N, L, text_raw_dim) with explicit lengths."""
+    """Encode padded token batches (N, L, text_raw_dim) with explicit lengths; a head
+    missing from ``params`` is skipped as in ``encode_images_batch``."""
     r = raws if isinstance(raws, Tensor) else Tensor(raws)
     lengths = np.asarray(lengths, dtype=np.intp)
     if r.ndim != 3 or r.shape[2] != config.text_raw_dim:
@@ -160,9 +167,12 @@ def encode_texts_batch(raws, lengths, params: Mapping[str, Tensor | np.ndarray],
     word_feats = nm.linear(r, params["txt_embed_w"], params["txt_embed_b"])
     mask = np.arange(pad_len)[None, :] < lengths[:, None]
     pooled = nm.masked_max(word_feats, mask[:, :, None], axis=1)
-    local_embed = nm.linear(pooled, params["txt_local_w"], params["txt_local_b"]).reshape(
-        (n, config.region_count * config.shared_dim))
-    global_embed = nm.linear(pooled, params["txt_global_w"], params["txt_global_b"])
+    local_embed = global_embed = None
+    if "txt_local_w" in params:
+        local_embed = nm.linear(pooled, params["txt_local_w"], params["txt_local_b"]).reshape(
+            (n, config.region_count * config.shared_dim))
+    if "txt_global_w" in params:
+        global_embed = nm.linear(pooled, params["txt_global_w"], params["txt_global_b"])
     return TextEncodings(word_feats, local_embed, global_embed, mask)
 
 

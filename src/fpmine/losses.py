@@ -30,7 +30,8 @@ Each objective has one implementation, a batched kernel that training
 calls on a whole batch plan. The word hinges and the ranking loss are the
 ``numerics`` kernels ``matched_word_hinge``, ``mismatched_word_hinge`` and
 ``hardest_negative_hinge``, which the model calls directly; the per-pair
-functions keep their signatures as adapters over a batch of one.
+functions keep their signatures as adapters over a batch of one. The total
+is two ``numerics.weighted_sum`` nodes: the ranking family, then all three.
 """
 
 from __future__ import annotations
@@ -140,18 +141,8 @@ def total_loss(matched, mismatched, identity, rank_global, rank_local, rank_loca
     ((matched + mismatched) + identity) + ranking, where ranking is
     (rank_global + local weight * rank_local) + local-neg weight * rank_local_neg.
     """
-    terms = [_as_tensor(t) for t in (matched, mismatched, identity,
-                                     rank_global, rank_local, rank_local_neg)]
-    ranking = nm.add(nm.add(terms[3], nm.mul(terms[4], weights.ranking_local_weight)),
-                     nm.mul(terms[5], weights.ranking_localneg_weight))
-    total = nm.add(nm.add(nm.add(terms[0], terms[1]), terms[2]), ranking)
-    report = LossReport(
-        matched=terms[0].item(),
-        mismatched=terms[1].item(),
-        identity=terms[2].item(),
-        rank_global=terms[3].item(),
-        rank_local=terms[4].item(),
-        rank_local_neg=terms[5].item(),
-        total=total.item(),
-    )
-    return total, report
+    ranking = nm.weighted_sum([rank_global, rank_local, rank_local_neg],
+                              [1.0, weights.ranking_local_weight, weights.ranking_localneg_weight])
+    total = nm.weighted_sum([matched, mismatched, identity, ranking])
+    terms = (matched, mismatched, identity, rank_global, rank_local, rank_local_neg, total)
+    return total, LossReport(*(_as_tensor(t).item() for t in terms))

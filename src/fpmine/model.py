@@ -209,25 +209,25 @@ class Model:
     def _identity_term(self, images: ImageEncodings, texts: TextEncodings,
                        img_labels: np.ndarray, txt_labels: np.ndarray,
                        bound: Mapping[str, Tensor]) -> Tensor:
-        terms = []
+        terms, weights = [], []
         if self.flags.use_global:
-            terms.append(ls.mean_identity_loss(images.global_embed, img_labels,
-                                               bound["id_global_w"]))
-            terms.append(ls.mean_identity_loss(texts.global_embed, txt_labels,
-                                               bound["id_global_w"]))
+            terms += [ls.mean_identity_loss(images.global_embed, img_labels, bound["id_global_w"]),
+                      ls.mean_identity_loss(texts.global_embed, txt_labels, bound["id_global_w"])]
+            weights += [1.0, 1.0]
         if self.flags.use_local:
-            local = nm.add(
+            terms.append(nm.weighted_sum([
                 ls.mean_identity_loss(images.local_embed, img_labels, bound["id_local_w"]),
-                ls.mean_identity_loss(texts.local_embed, txt_labels, bound["id_local_w"]))
-            terms.append(nm.mul(local, self.weights.identity_local_weight))
-        total = terms[0]
-        for t in terms[1:]:
-            total = nm.add(total, t)
-        return total
+                ls.mean_identity_loss(texts.local_embed, txt_labels, bound["id_local_w"])]))
+            weights.append(self.weights.identity_local_weight)
+        return nm.weighted_sum(terms, weights)
 
     def _encode(self, image_samples: list[Sample], text_samples: list[Sample],
                 bound: Mapping[str, Tensor]) -> tuple[ImageEncodings, TextEncodings]:
-        """Encode images stacked and captions zero-padded to the longest one."""
+        """Encode images stacked and captions zero-padded to the longest one, applying
+        only the enabled branches' heads (parameters ``{img,txt}_{local,global}_*``)."""
+        off = {head for head, on in (("local", self.flags.use_local),
+                                     ("global", self.flags.use_global)) if not on}
+        bound = {name: t for name, t in bound.items() if name.split("_")[1] not in off}
         images = encode_images_batch(
             np.stack([s.image_raw for s in image_samples]), bound, self.config)
         lengths = np.array([s.length for s in text_samples], dtype=np.intp)

@@ -335,6 +335,22 @@ def mul(a, b, out=None) -> Tensor:
     return _emit(np.multiply(ad, bd, out=_into(out, a, b)), (a, b), bw)
 
 
+def weighted_sum(terms: Sequence, weights: Sequence[float] | None = None) -> Tensor:
+    """``((w0 * t0 + w1 * t1) + w2 * t2) + ...`` over terms of one shape, as one node. The
+    constant weights default to 1, and a weight of 1 leaves its term unmultiplied; a term
+    that is not a Tensor is a constant with no input slot. Gradient: the output's times w."""
+    weights = [1.0] * len(terms) if weights is None else list(weights)
+    vals = [t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64) for t in terms]
+    if not vals or len(weights) != len(vals) or any(v.shape != vals[0].shape for v in vals):
+        raise ShapeError(f"weighted_sum of {[v.shape for v in vals]} with {len(weights)} weights")
+    out = np.array(vals[0] if weights[0] == 1.0 else vals[0] * weights[0])  # never aliased
+    for v, w in zip(vals[1:], weights[1:]):
+        out += v if w == 1.0 else v * w
+    taped = [(t, w) for t, w in zip(terms, weights) if isinstance(t, Tensor)]
+    return _emit(out, [t for t, _ in taped],
+                 lambda g: tuple(g if w == 1.0 else g * w for _, w in taped))
+
+
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     ad, bd = a.data, b.data
@@ -451,10 +467,10 @@ def maximum(a, threshold: float) -> Tensor:
                  lambda g: (np.asarray(g) * (a.data > threshold),))
 
 
-def minimum(a, threshold: float, out=None) -> Tensor:
+def minimum(a, threshold: float) -> Tensor:
     """Elementwise min against a constant; subgradient 0 exactly at the kink."""
     a = _as_tensor(a)
-    return _emit(np.minimum(a.data, threshold, out=_into(out, a)), (a,),
+    return _emit(np.minimum(a.data, threshold), (a,),
                  lambda g: (np.asarray(g) * (a.data < threshold),))
 
 
@@ -836,7 +852,7 @@ __all__ = [
     "GradTape",
     "backward",
     "set_debug_checks", "blas_threads",
-    "add", "sub", "mul", "div", "neg",
+    "add", "sub", "mul", "weighted_sum", "div", "neg",
     "matmul", "transpose", "reshape",
     "reduce_sum", "reduce_max", "masked_max", "masked_min",
     "maximum", "minimum", "relu", "clamp",

@@ -7,10 +7,10 @@ Three signals per (image, text) pair:
 * mining  - word-region cosine scores, max-pooled over regions per word;
   scores below the decision boundary (zero by default) pass the mining
   mask and sum into negative evidence that lowers the pair's overall
-  similarity.
+  similarity. The evidence is one product, s * [s < tau] * [valid word].
 
 At inference the overall similarity is the sum of the global score, the
-local score, and the negative-adjusted local score.
+local score, and the negative-adjusted local score, one ``weighted_sum``.
 
 Each quantity has one implementation over n images and m texts that
 training and evaluation both call: ``numerics.cosine`` of (n, P) or
@@ -81,10 +81,15 @@ def projected(region_feats: Tensor, word_feats: Tensor, params: MiningParams):
     return nm.linear(region_feats, params.region_proj), nm.linear(word_feats, params.word_proj)
 
 
-def mining_mask(score, boundary=0.0, out=None) -> Tensor:
-    """Zero out scores above the decision boundary, pass the rest unchanged.
+def _below(s: Tensor, boundary) -> np.ndarray:
+    """[s < tau], the words the mining mask selects, for a float or scalar Tensor tau."""
+    return s.data < _as_tensor(boundary).data
 
-    With the default boundary 0 this is exactly min(s, 0): positive scores
+
+def mining_mask(score, boundary=0.0) -> Tensor:
+    """s * [s < tau]: scores at or above the decision boundary zeroed, the rest unchanged.
+
+    With the default boundary 0 this equals min(s, 0): positive scores
     carry no mismatch evidence, negative ones pass through, and the
     boundary itself maps to 0. A nonzero ``boundary`` (the learnable
     variant) moves the cut to tau while still passing the raw score below
@@ -96,28 +101,23 @@ def mining_mask(score, boundary=0.0, out=None) -> Tensor:
     scoring in [0, tau) passes its positive score and adds less than tau.
     The hinges keep tau at zero to within a few optimizer steps: their push
     on tau points down above zero and up below it (see ``losses``).
-    Untaped, the result may be written into ``out``, which may be the score's buffer.
     """
     s = _as_tensor(score)
-    if isinstance(boundary, Tensor):
-        return nm.mul(s, s.data < boundary.data, out=out)
-    if boundary != 0.0:
-        return nm.mul(s, s.data < boundary, out=out)
-    return nm.minimum(s, 0.0, out=out)
+    return nm.mul(s, _below(s, boundary))
 
 
 def mined_evidence(word_scores: Tensor, text_mask, local, *, use_mask: bool = True,
                    boundary=0.0, out=None) -> tuple[Tensor, Tensor, Tensor]:
     """(evidence per word (n, m, L), negative (n, m), local + negative (n, m)).
 
-    ``text_mask`` (m, L) is True at valid words; padding contributes 0.
-    With ``use_mask`` off (ablation) the raw scores are the evidence.
-    Untaped evaluation may pass ``out``, buffers for the three results; the
-    evidence's may be the word scores' own, which it then overwrites.
+    The evidence is s * [s < tau] * [valid word], one product with a boolean mask:
+    ``text_mask`` (m, L) is True at valid words. With ``use_mask`` off (ablation) it
+    is s * [valid word]. Untaped evaluation may pass ``out``, buffers for the three
+    results; the evidence's may be the word scores' own, which it then overwrites.
     """
     ev, neg, local_neg = (None,) * 3 if out is None else out
-    contrib = mining_mask(word_scores, boundary, out=ev) if use_mask else word_scores
-    evidence = nm.mul(contrib, np.asarray(text_mask, dtype=np.float64)[None, :, :], out=ev)
+    keep = (_below(word_scores, boundary) if use_mask else True) & np.asarray(text_mask, bool)
+    evidence = nm.mul(word_scores, keep, out=ev)
     negative = nm.reduce_sum(evidence, axis=2, out=neg)
     return evidence, negative, nm.add(local, negative, out=local_neg)
 
@@ -130,10 +130,7 @@ def fuse(comps: Mapping[str, Tensor | np.ndarray], fusion: str) -> Tensor:
     missing = [n for n in need if n not in comps]
     if missing:
         raise ConfigError(f"fusion {fusion!r} needs disabled branch(es): {missing}")
-    out = _as_tensor(comps[need[0]])
-    for name in need[1:]:
-        out = nm.add(out, comps[name])
-    return out
+    return nm.weighted_sum([comps[name] for name in need])
 
 
 # ---------------------------------------------------------- per-pair adapters

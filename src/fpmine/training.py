@@ -46,6 +46,10 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("learning_rate", "val_fraction"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         if not isinstance(self.balanced_sampling, bool):
             raise ConfigError(
                 f"balanced_sampling must be true or false, got {self.balanced_sampling!r}")
@@ -381,6 +385,8 @@ def gradcheck(dataset: SyntheticDataset, config: TrainConfig, *, tolerance: floa
     construction) the coordinate is redrawn at a different offset, up to
     ``_GRADCHECK_ATTEMPTS`` times. A genuine gradient bug fails at every offset.
     """
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ConfigError(f"tolerance must be finite and > 0, got {tolerance}")
     rng = np.random.default_rng(_GRADCHECK_SEED)
     model = Model(dataset.config, config.flags, seed=config.seed)
     batch = min(config.batch_size, 2 * (len(dataset.samples) // 2), 8)

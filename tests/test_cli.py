@@ -189,6 +189,20 @@ class TestGenData:
         assert err.startswith("config error:") and len(err.splitlines()) == 1
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("doc", [{"feature_dim": 2.5}, {"max_words": 16.0},
+                                     {"region_count": 2.5}, {"feature_dim": True}],
+                             ids=["feature-dim-float", "max-words-float", "region-count-float",
+                                  "feature-dim-bool"])
+    def test_non_integer_encoder_setting_exit_1(self, tmp_path, capsys, doc):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(doc))
+        code = main(["gen-data", "--identities", "6", "--per-identity", "3",
+                     "--config", str(config), "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and len(err.splitlines()) == 1
+        assert not (tmp_path / "x").exists()
+
     def test_training_key_exit_1(self, tmp_path, capsys):
         config = tmp_path / "c.cfg"
         config.write_text(DATA_CONFIG_TEXT + CONFIG_TEXT)
@@ -507,6 +521,18 @@ class TestTrainEval:
         assert code == 1
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("line", ["learning_rate = true\n", "val_fraction = false\n"],
+                             ids=["lr-bool", "val-fraction-bool"])
+    def test_bool_rate_or_fraction_exit_1(self, tmp_path, data_dir, capsys, line):
+        config = tmp_path / "bad.cfg"
+        config.write_text(CONFIG_TEXT + line)
+        code = main(["train", "--config", str(config), "--data", str(data_dir / "dataset.bin"),
+                     "--out", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and len(err.splitlines()) == 1
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("command,line", [
         (["train"], "feature_dim = 12.5\n"), (["train"], "identities = 9\n"),
         (["ablate"], "noise = 0.5\n"), (["gradcheck"], "region_count = 2\n")],
@@ -610,6 +636,14 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("tolerance", ["-1", "nan", "0", "inf"])
+    def test_tolerance_not_finite_and_positive_exit_1(self, tmp_path, capsys, tolerance):
+        code = main(["gradcheck", "--tolerance", tolerance, "--out", str(tmp_path / "gc")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and len(err.splitlines()) == 1
+        assert not (tmp_path / "gc").exists()
 
     def test_impossible_tolerance_exit_3(self, tmp_path):
         code = main(["gradcheck", "--tolerance", "1e-18", "--out", str(tmp_path / "gc")])

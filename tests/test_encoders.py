@@ -1,5 +1,7 @@
 """Encoder contracts: shapes, linearity, padding, gradients."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,12 @@ class TestConfig:
     def test_positive_dims(self):
         with pytest.raises(ConfigError):
             EncoderConfig(feature_dim=0)
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(EncoderConfig)])
+    @pytest.mark.parametrize("value", [2.5, 16.0, True, "8"])
+    def test_non_integer_setting_refused(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            EncoderConfig(**{field: value})
 
 
 class TestEncodeImage:

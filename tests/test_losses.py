@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_numerics import composed_sum
 
 from fpmine import numerics as nm
 from fpmine.errors import ConfigError, InputError, ShapeError
@@ -185,6 +186,26 @@ class TestTotalLoss:
             for term in (report.matched, report.mismatched, report.identity,
                          report.rank_global, report.rank_local, report.rank_local_neg):
                 assert term >= 0.0
+
+    @pytest.mark.parametrize("disabled", [(), (0, 1), (3,), (4, 5)],
+                             ids=["all", "no-word-terms", "no-global", "no-local"])
+    def test_two_weighted_sum_nodes_equal_the_add_mul_chain(self, disabled):
+        values = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+        runs = []
+        for rule in ("new", "chain"):
+            tape = GradTape()
+            terms = [0.0 if i in disabled else tape.leaf(v) for i, v in enumerate(values)]
+            before = len(tape)
+            if rule == "new":
+                total, _ = total_loss(*terms, W)
+                assert len(tape) - before == 2
+            else:
+                ranking = composed_sum(terms[3:], [1.0, W.ranking_local_weight,
+                                                   W.ranking_localneg_weight])
+                total = composed_sum(terms[:3] + [ranking])
+            grads = backward(total, tape)
+            runs.append([total.data] + [grads[t].data for t in terms if isinstance(t, Tensor)])
+        assert [a.tobytes() for a in runs[0]] == [b.tobytes() for b in runs[1]]
 
     def test_ranking_family_weights(self):
         total, _ = total_loss(0.0, 0.0, 0.0, Tensor(1.0), Tensor(1.0), Tensor(1.0), W)

@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from test_numerics import dense_max_cosine_grads
+from test_numerics import composed_sum, dense_max_cosine_grads
 
 from fpmine import losses as ls
 from fpmine import model as model_module
@@ -410,13 +410,15 @@ class TestGradientsAgainstDenseMaxCosineRule:
 
 
 # tape nodes of one toy batch per ablation variant, exactly: a change that adds or removes
-# nodes updates these counts, and with them the figure ROADMAP tracks. The global-only
-# variant holds two reshapes of local embeddings that no term reads (the encoders flatten
-# them always).
-TAPE_NODES = {"global": 37, "local": 39, "global+local": 47, "local+mining": 51,
-              "global+local+mining": 59, "baseline": 47, "no_local_neg_ranking": 57,
-              "no_mining_mask": 58, "no_balanced_sample": 59, "learnable_boundary": 60,
-              "full": 59}
+# nodes updates these counts, and with them the figure ROADMAP tracks.
+TAPE_NODES = {"global": 31, "local": 33, "global+local": 42, "local+mining": 42,
+              "global+local+mining": 51, "baseline": 42, "no_local_neg_ranking": 50,
+              "no_mining_mask": 51, "no_balanced_sample": 51, "learnable_boundary": 52,
+              "full": 51}
+
+# the head parameters of each similarity branch, which a variant without it never applies
+BRANCH_HEADS = {"local": ("img_local_w", "img_local_b", "txt_local_w", "txt_local_b"),
+                "global": ("img_global_w", "img_global_b", "txt_global_w", "txt_global_b")}
 
 
 class TestTapeSize:
@@ -428,6 +430,54 @@ class TestTapeSize:
         flags = variant_config(TrainConfig(), variant).flags
         Model(CFG, flags, seed=5).batch_loss(ds, plan, tape)
         assert len(tape) == TAPE_NODES[variant]
+
+    @pytest.mark.parametrize("variant,off", [("global", "local"), ("local", "global"),
+                                             ("local+mining", "global")])
+    def test_disabled_branch_heads_not_applied(self, variant, off):
+        ds = toy_dataset(seed=2)
+        plan = next(iter(balanced_batches(ds, 6, seed=1)))
+        tape = GradTape()
+        flags = variant_config(TrainConfig(), variant).flags
+        total, _, bound = Model(CFG, flags, seed=5).batch_loss(ds, plan, tape)
+        heads = {bound[name].tid for name in BRANCH_HEADS[off]}
+        assert not any(heads.intersection(inputs) for inputs in tape._inputs)
+        grads = backward(total, tape)  # their leaves still get (zero) gradients
+        assert all(not grads[bound[name]].data.any() for name in BRANCH_HEADS[off])
+
+    def test_identity_term_equals_the_add_mul_chain(self):
+        ds = toy_dataset(seed=2)
+        samples = ds.samples[:6]
+        labels = np.array([s.identity_id for s in samples])
+        ce = ls.mean_identity_loss
+
+        def chain(model, images, texts, bound):
+            terms = []
+            if model.flags.use_global:
+                terms += [ce(images.global_embed, labels, bound["id_global_w"]),
+                          ce(texts.global_embed, labels, bound["id_global_w"])]
+            if model.flags.use_local:
+                local = composed_sum([ce(images.local_embed, labels, bound["id_local_w"]),
+                                      ce(texts.local_embed, labels, bound["id_local_w"])])
+                terms.append(nm.mul(local, model.weights.identity_local_weight))
+            return composed_sum(terms)
+
+        # two nodes per identity loss, then the local pair (if any) and the outer sum
+        for variant, nodes in (("full", 10), ("global", 5), ("local", 6)):
+            model = Model(CFG, variant_config(TrainConfig(), variant).flags, seed=5)
+            runs = []
+            for rule in ("new", "chain"):
+                tape = GradTape()
+                bound = model.bind(tape)
+                images, texts = model._encode(samples, samples, bound)
+                before = len(tape)
+                if rule == "new":
+                    total = model._identity_term(images, texts, labels, labels, bound)
+                    assert len(tape) - before == nodes, variant
+                else:
+                    total = chain(model, images, texts, bound)
+                grads = backward(total, tape)
+                runs.append([total.data] + [grads[leaf].data for leaf in bound.values()])
+            assert [a.tobytes() for a in runs[0]] == [b.tobytes() for b in runs[1]], variant
 
     def test_dropped_tape_freed_without_cyclic_gc(self):
         import gc

@@ -1080,6 +1080,77 @@ class TestDebugChecks:
         assert np.isinf(out.data[0])
 
 
+def composed_sum(terms, weights=None):
+    """``weighted_sum`` as the ``mul`` and ``add`` chain it replaces: a weight of 1 adds its
+    term unmultiplied, any other weight multiplies first; the sum runs left to right."""
+    weights = [1.0] * len(terms) if weights is None else weights
+    scaled = [t if w == 1.0 else nm.mul(t, w) for t, w in zip(terms, weights)]
+    out = nm._as_tensor(scaled[0])
+    for t in scaled[1:]:
+        out = nm.add(out, t)
+    return out
+
+
+def same_value_and_grads(build):
+    """Run ``build(sum_fn, leaf)`` with ``weighted_sum`` and with ``composed_sum``; assert
+    equal values and equal gradients of sum(out * up) at every leaf, bit for bit."""
+    runs = []
+    for fn in (nm.weighted_sum, composed_sum):
+        tape = GradTape()
+        leaves = []
+
+        def leaf(v):
+            leaves.append(tape.leaf(v))
+            return leaves[-1]
+
+        out = build(fn, leaf)
+        up = np.linspace(-1.5, 2.0, out.size).reshape(out.shape)
+        grads = backward(nm.reduce_sum(nm.mul(out, up)), tape)
+        runs.append((out.data, [grads[x].data for x in leaves]))
+    (new, new_g), (old, old_g) = runs
+    assert new.tobytes() == old.tobytes()
+    assert len(new_g) == len(old_g) and all(a.tobytes() == b.tobytes()
+                                            for a, b in zip(new_g, old_g))
+
+
+class TestWeightedSum:
+    a, b, c = np.random.default_rng(31).normal(size=(3, 4, 3))
+
+    @pytest.mark.parametrize("weights", [None, [1.0, 0.5, 0.25], [0.5, 1.0, 0.25],
+                                         [0.25, 0.5, 0.5]])
+    def test_terms_equal_the_add_mul_chain(self, weights):
+        same_value_and_grads(lambda fn, leaf: fn([leaf(self.a), leaf(self.b), leaf(self.c)],
+                                                 weights))
+
+    def test_constant_terms_have_no_input_slot(self):
+        same_value_and_grads(lambda fn, leaf: fn(
+            [self.a, leaf(self.b), Tensor(self.c), 0.5 * self.a], [0.5, 1.0, 0.25, 1.0]))
+        tape = GradTape()
+        x = tape.leaf(self.b)
+        out = nm.weighted_sum([self.a, x, Tensor(self.c)], [1.0, 0.5, 1.0])
+        assert tape._inputs[out.tid] == (x.tid, -1)
+        assert nm.weighted_sum([self.a, 0.5 * self.c]).tape is None
+
+    @pytest.mark.parametrize("weight", [1.0, 0.5])
+    def test_single_term(self, weight):
+        same_value_and_grads(lambda fn, leaf: fn([leaf(self.a)], [weight]))
+        const = np.array(self.a)
+        out = nm.weighted_sum([const], [weight])
+        assert not np.shares_memory(out.data, const) and const.flags.writeable
+
+    def test_one_node(self):
+        tape = GradTape()
+        nm.weighted_sum([tape.leaf(self.a), tape.leaf(self.b), tape.leaf(self.c)], [1, 0.5, 2])
+        assert len(tape) == 4
+
+    @pytest.mark.parametrize("terms,weights", [([], None), ([np.ones(3), np.ones(4)], None),
+                                               ([np.ones(3)], [1.0, 0.5])],
+                             ids=["no-terms", "shapes-differ", "weights-differ"])
+    def test_malformed_refused(self, terms, weights):
+        with pytest.raises(ShapeError):
+            nm.weighted_sum(terms, weights)
+
+
 def _op_cases():
     """One call of every op in ``numerics.__all__`` (``linear`` in each of its modes, as
     ``linear:<mode>``); ``t`` wraps each array operand."""
@@ -1096,6 +1167,7 @@ def _op_cases():
         "sub": lambda t: nm.sub(t(m), t(r)),
         "mul": lambda t: nm.mul(t(m), t(r)),
         "mul:constant": lambda t: nm.mul(mask, t(m)),
+        "weighted_sum": lambda t: nm.weighted_sum([t(m), 2.0 * p, t(p)], [0.5, 1.0, 0.25]),
         "div": lambda t: nm.div(t(m), t(p)),
         "neg": lambda t: nm.neg(t(m)),
         "matmul": lambda t: nm.matmul(t(m), t(b.T)),
@@ -1165,7 +1237,6 @@ def _out_cases():
     return {
         "add": (lambda t, out: nm.add(t(m), t(r), out=out), (4, 3)),
         "mul": (lambda t, out: nm.mul(t(m), t(r), out=out), (4, 3)),
-        "minimum": (lambda t, out: nm.minimum(t(m), 0.1, out=out), (4, 3)),
         "mul:constant": (lambda t, out: nm.mul(t(m), m < 0.2, out=out), (4, 3)),
         "reduce_sum": (lambda t, out: nm.reduce_sum(t(m), axis=1, out=out), (4,)),
         "max_cosine": (lambda t, out: nm.max_cosine(t(a), t(b), 4, out=out), (2, 2, 5)),

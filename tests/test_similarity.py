@@ -10,7 +10,7 @@ from fpmine.encoders import EmbeddingBundle
 from fpmine.errors import ShapeError
 from fpmine.numerics import GradTape, Tensor, backward, finite_difference_grad
 from fpmine.similarity import (MiningParams, global_similarity, local_similarity,
-                               mining_mask, negative_similarity, overall_similarity,
+                               mined_evidence, mining_mask, negative_similarity, overall_similarity,
                                pair_breakdown, word_max_scores, word_region_scores)
 
 
@@ -167,6 +167,51 @@ class TestMiningMask:
         up = np.linspace(-2.0, 2.0, grid.size)
         g = backward(nm.reduce_sum(nm.mul(mining_mask(s, tau), up)), tape)[s].data
         assert g.tobytes() == (up * keep).tobytes()
+
+
+def chain_evidence(s, text_mask, use_mask, boundary):
+    """The evidence as ``minimum``/``mul`` by the keep mask, then ``mul`` by a float word mask."""
+    if use_mask:
+        tau = boundary.data if isinstance(boundary, Tensor) else boundary
+        s = nm.minimum(s, 0.0) if tau is boundary and tau == 0.0 else nm.mul(s, s.data < tau)
+    return nm.mul(s, np.asarray(text_mask, dtype=np.float64)[None])
+
+
+class TestMinedEvidence:
+    """The evidence is one product with the boolean mask [s < tau] & [valid word]."""
+
+    # (2, 3, 7) word scores: a grid over [-0.2, 0.2], each boundary below, +0.0 and -0.0
+    scores = np.random.default_rng(3).permutation(np.concatenate(
+        [np.linspace(-0.2, 0.2, 37), [-0.05, 0.05, 0.1, 0.0, -0.0]])).reshape(2, 3, 7)
+    text_mask = np.arange(7)[None, :] < np.array([[7], [4], [1]])  # padded words
+
+    @pytest.mark.parametrize("boundary", [Tensor(-0.05), Tensor(0.05), 0.1, -0.05, 0.0],
+                             ids=["tensor-below-zero", "tensor-above-zero", "float-above",
+                                  "float-below", "zero"])
+    def test_one_multiply_equals_the_chain(self, boundary):
+        for use_mask in (True, False):
+            runs = []
+            for rule in ("new", "chain"):
+                tape = GradTape()
+                s = tape.leaf(self.scores)
+                local = tape.leaf(np.ones((2, 3)))
+                before = len(tape)
+                if rule == "new":
+                    ev, neg, local_neg = mined_evidence(s, self.text_mask, local,
+                                                        use_mask=use_mask, boundary=boundary)
+                    assert len(tape) - before == 3  # the evidence is one node
+                else:
+                    ev = chain_evidence(s, self.text_mask, use_mask, boundary)
+                    neg = nm.reduce_sum(ev, axis=2)
+                    local_neg = nm.add(local, neg)
+                up = np.linspace(-1.0, 1.0, ev.size).reshape(ev.shape)
+                loss = nm.add(nm.reduce_sum(nm.mul(ev, up)), nm.reduce_sum(local_neg))
+                grads = backward(loss, tape)
+                runs.append((ev.data, neg.data, local_neg.data, grads[s].data))
+            # equal, and bit for bit apart from the sign of a zero (min(-0.0, 0) is +0.0)
+            for new, old in zip(*runs):
+                assert np.array_equal(new, old)
+                assert np.abs(new).tobytes() == np.abs(old).tobytes()
 
 
 class TestNegativeSimilarity:

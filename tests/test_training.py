@@ -168,6 +168,12 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(val_every=-1)
 
+    @pytest.mark.parametrize("setting", [dict(learning_rate=True), dict(val_fraction=False),
+                                         dict(learning_rate="0.1")])
+    def test_bool_or_text_rate_and_fraction_refused(self, setting):
+        with pytest.raises(ConfigError, match="must be a number"):
+            TrainConfig(**setting)
+
     def test_json_roundtrip(self):
         tc = toy_config(flags=ModelFlags(use_mining=False), learning_rate=0.01)
         back = TrainConfig.from_json(tc.to_json())
