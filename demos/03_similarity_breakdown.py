@@ -1,14 +1,13 @@
 """The three similarity branches on a single (image, caption) pair.
 
 Shows the per-word max scores, what the mining mask keeps, and how the
-summed negative evidence modifies the pair's overall similarity.
+summed negative evidence modifies the pair's overall similarity, as read from
+the pair's evidence report.
 """
 
 import numpy as np
 
-from fpmine import EncoderConfig, Model, generate_synthetic_dataset
-from fpmine.encoders import encode_image, encode_text
-from fpmine.similarity import pair_breakdown
+from fpmine import EncoderConfig, Model, generate_synthetic_dataset, negative_evidence_report
 
 config = EncoderConfig(max_words=16)
 dataset = generate_synthetic_dataset(
@@ -16,25 +15,20 @@ dataset = generate_synthetic_dataset(
     attribute_count=12, detail_count=2, hard_negative_fraction=0.4)
 model = Model(config.with_identity_count(20), seed=1)
 
-bound = model.bind()
-mining = model.mining_params(bound)
-
 matched = dataset.samples[0], dataset.samples[1]        # same identity
 mismatched = dataset.samples[0], dataset.samples[12]    # different identity
 
 for title, (img_sample, txt_sample) in (("matched pair", matched),
                                         ("mismatched pair", mismatched)):
-    img = encode_image(img_sample.image_raw, bound, model.config)
-    txt = encode_text(txt_sample.text_raw, bound, model.config)
-    b = pair_breakdown(img, txt, mining)
+    doc = negative_evidence_report(model, img_sample, txt_sample)
     print(f"{title} (identities {img_sample.identity_id} vs {txt_sample.identity_id})")
-    print(f"  global score        {b.global_score:+.4f}")
-    print(f"  local score         {b.local_score:+.4f}")
-    print(f"  word scores         {np.round(b.word_scores, 3)}")
-    print(f"  masked (evidence)   {np.round(b.masked_word_scores, 3)}")
-    print(f"  negative score      {b.negative_score:+.4f}")
-    print(f"  local - negative    {b.local_negative_score:+.4f}")
-    print(f"  overall             {b.overall_score:+.4f}")
+    print(f"  global score        {doc['global_score']:+.4f}")
+    print(f"  local score         {doc['local_score']:+.4f}")
+    print(f"  word scores         {np.round(doc['word_scores'], 3)}")
+    print(f"  masked (evidence)   {np.round(doc['masked_word_scores'], 3)}")
+    print(f"  negative score      {doc['negative_score']:+.4f}")
+    print(f"  local - negative    {doc['local_negative_score']:+.4f}")
+    print(f"  overall             {doc['overall_score']:+.4f}")
     print()
 
 print("note: this model is untrained, so word scores are still arbitrary;")

@@ -185,6 +185,15 @@ def cmd_eval(args) -> int:
     run_dir = Path(args.out)
     ckpt = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
+    trained, given = ckpt.encoder_config, dataset.config
+    for name in ("region_count", "image_raw_dim", "text_raw_dim"):
+        if getattr(given, name) != getattr(trained, name):
+            raise ConfigError(f"the dataset's {name} is {getattr(given, name)}, but the "
+                              f"checkpoint's is {getattr(trained, name)}")
+    longest = max((s.length for s in dataset.samples), default=0)
+    if longest > trained.max_words:
+        raise ConfigError(f"the dataset holds a caption of {longest} words, but the "
+                          f"checkpoint's max_words is {trained.max_words}")
     model = model_from_checkpoint(ckpt)
     fusion = args.fusion or model.flags.fusion()
     tc = ckpt.train_config

@@ -7,10 +7,11 @@ matching engine needs:
 
 * image: per-strip features ``region_feats`` (K x C), per-strip local
   embeddings (K x P), and a pooled global embedding (P).
-* text:  per-token features (C x length), K local embeddings derived from
-  the pooled token features, and a pooled global embedding (P).
+* text:  per-token features ``word_feats`` (length x C), K local embeddings
+  derived from the pooled token features, and a pooled global embedding (P).
 
-Batches hold each sample's K local embeddings as one region-major K * P row.
+Encoding is batched, and one sample is a batch of one. Batches hold each
+sample's K local embeddings as one region-major K * P row.
 
 Padding positions in text batches are excluded from every pooling and
 reduction via explicit masks.
@@ -73,21 +74,6 @@ class Sample:
     @property
     def length(self) -> int:
         return self.text_raw.shape[0]
-
-
-@dataclass(frozen=True)
-class EmbeddingBundle:
-    """All representation levels of one sample in one modality.
-
-    ``raw_parts`` is (K x C) region features for images and (C x length)
-    word features for text; ``valid_len`` is the token count for text and
-    None for images.
-    """
-
-    global_embed: Tensor   # (P,)
-    local_embed: Tensor    # (K, P)
-    raw_parts: Tensor
-    valid_len: int | None = None
 
 
 @dataclass(frozen=True)
@@ -175,37 +161,3 @@ def encode_texts_batch(raws, lengths, params: Mapping[str, Tensor | np.ndarray],
         global_embed = nm.linear(pooled, params["txt_global_w"], params["txt_global_b"])
     return TextEncodings(word_feats, local_embed, global_embed, mask)
 
-
-def encode_image(raw, params: Mapping[str, Tensor | np.ndarray],
-                 config: EncoderConfig) -> EmbeddingBundle:
-    """Encode one raw strip grid (region_count, image_raw_dim)."""
-    arr = raw.data if isinstance(raw, Tensor) else np.asarray(raw, dtype=np.float64)
-    if arr.shape != (config.region_count, config.image_raw_dim):
-        raise ShapeError(
-            f"expected image raw ({config.region_count}, {config.image_raw_dim}), got {arr.shape}")
-    batch = raw.reshape((1,) + arr.shape) if isinstance(raw, Tensor) else Tensor(arr[None])
-    enc = encode_images_batch(batch, params, config)
-    return EmbeddingBundle(
-        global_embed=enc.global_embed.reshape((config.shared_dim,)),
-        local_embed=enc.local_embed.reshape((config.region_count, config.shared_dim)),
-        raw_parts=enc.region_feats.reshape((config.region_count, config.feature_dim)),
-    )
-
-
-def encode_text(raw, params: Mapping[str, Tensor | np.ndarray],
-                config: EncoderConfig) -> EmbeddingBundle:
-    """Encode one raw token sequence (length, text_raw_dim), every row a token."""
-    arr = raw.data if isinstance(raw, Tensor) else np.asarray(raw, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != config.text_raw_dim:
-        raise ShapeError(f"expected text raw (L, {config.text_raw_dim}), got {arr.shape}")
-    length = arr.shape[0]
-    if length < 1 or length > config.max_words:
-        raise InputError(f"text length must be in [1, {config.max_words}], got {length}")
-    batch = raw.reshape((1,) + arr.shape) if isinstance(raw, Tensor) else Tensor(arr[None])
-    enc = encode_texts_batch(batch, np.array([length]), params, config)
-    return EmbeddingBundle(
-        global_embed=enc.global_embed.reshape((config.shared_dim,)),
-        local_embed=enc.local_embed.reshape((config.region_count, config.shared_dim)),
-        raw_parts=enc.word_feats.reshape((length, config.feature_dim)).T,
-        valid_len=length,
-    )

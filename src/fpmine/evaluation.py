@@ -12,10 +12,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import SyntheticDataset, identity_split, twin_pairs
-from .encoders import Sample, encode_image, encode_text
+from . import numerics as nm
+from . import similarity as sim
+from .encoders import Sample, encode_images_batch, encode_texts_batch
 from .errors import ConfigError, InputError
 from .model import Model
-from .similarity import fuse, pair_breakdown
+from .numerics import Tensor
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,7 @@ def evaluate_with_activity(model: Model, dataset: SyntheticDataset, indices,
     """``evaluate_retrieval`` and ``mining_activity`` from one scoring of the split."""
     samples, ids = _split_samples(dataset, indices)
     comps = model.score_components(samples, samples)
-    result = _retrieval_result(fuse(comps, fusion).data, ids, fusion)
+    result = _retrieval_result(sim.fuse(comps, fusion).data, ids, fusion)
     activity = _activity(comps["negative"], ids) if "negative" in comps else dict(_INACTIVE)
     return result, activity
 
@@ -153,26 +155,41 @@ def negative_evidence_report(model: Model, image_sample: Sample, text_sample: Sa
     value) and 0 otherwise; with the mask ablated it is the raw score. Under
     the mask it is <= 0 whenever tau <= 0, and in [0, tau) for a word that
     passes a positive boundary.
+
+    The pair is a batch of one through the batched encoders and kernels, every
+    head applied, so every variant reports every branch's score.
     """
     bound = model.bind(None)
-    img = encode_image(image_sample.image_raw, bound, model.config)
-    txt = encode_text(text_sample.text_raw, bound, model.config)
+    images = encode_images_batch(image_sample.image_raw[None], bound, model.config)
+    texts = encode_texts_batch(text_sample.text_raw[None], [text_sample.length], bound,
+                               model.config)
+    regions, words = sim.projected(images.region_feats, texts.word_feats,
+                                   model.mining_params(bound))
+    scores = nm.cosine(regions, words).data[:, 0]  # (K, L): every region against every word
+    word_scores, argmax_regions = scores.max(axis=0), np.argmax(scores, axis=0)
     tau = float(model.boundary(model.params))
-    breakdown = pair_breakdown(img, txt, model.mining_params(bound),
-                               use_mask=model.flags.use_mining_mask, boundary=tau)
-    words = [
-        {"index": i, "score": float(score), "masked": float(masked), "argmax_region": int(region)}
-        for i, (score, masked, region) in enumerate(zip(
-            breakdown.word_scores, breakdown.masked_word_scores, breakdown.argmax_regions))
-    ]
-    doc = breakdown.to_json()
-    doc.update({
+    comps = {"global": nm.cosine(images.global_embed, texts.global_embed),
+             "local": nm.cosine(images.local_embed, texts.local_embed)}
+    evidence, negative, comps["local_negative"] = sim.mined_evidence(
+        Tensor(word_scores[None, None]), texts.mask, comps["local"],
+        use_mask=model.flags.use_mining_mask, boundary=tau)
+    doc = {
+        "global_score": comps["global"].item(),
+        "local_score": comps["local"].item(),
+        "word_scores": word_scores.tolist(),
+        "masked_word_scores": evidence.data[0, 0].tolist(),
+        "argmax_regions": argmax_regions.tolist(),
+        "negative_score": negative.item(),
+        "local_negative_score": comps["local_negative"].item(),
+        "overall_score": sim.fuse(comps, "full").item(),
         "image_identity": image_sample.identity_id,
         "text_identity": text_sample.identity_id,
         "matched": image_sample.identity_id == text_sample.identity_id,
         "boundary": tau,
-        "words": words,
-    })
+    }
+    doc["words"] = [{"index": i, "score": score, "masked": masked, "argmax_region": region}
+                    for i, (score, masked, region) in enumerate(zip(
+                        doc["word_scores"], doc["masked_word_scores"], doc["argmax_regions"]))]
     return doc
 
 

@@ -29,9 +29,9 @@ fixed-boundary ones.
 Each objective has one implementation, a batched kernel that training
 calls on a whole batch plan. The word hinges and the ranking loss are the
 ``numerics`` kernels ``matched_word_hinge``, ``mismatched_word_hinge`` and
-``hardest_negative_hinge``, which the model calls directly; the per-pair
-functions keep their signatures as adapters over a batch of one. The total
-is two ``numerics.weighted_sum`` nodes: the ranking family, then all three.
+``hardest_negative_hinge``, which the model calls directly; one pair is a
+batch of one. The total is two ``numerics.weighted_sum`` nodes: the ranking
+family, then all three.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import numerics as nm
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .numerics import Tensor, _as_tensor
 
 
@@ -82,55 +82,6 @@ class LossReport:
 def mean_identity_loss(embeddings, labels, classifier) -> Tensor:
     """Identity cross-entropy of softmax(embedding @ classifier.T), averaged over rows."""
     return nm.cross_entropy(nm.linear(embeddings, classifier), labels)
-
-
-# ---------------------------------------------------------- per-pair adapters
-
-def _one_pair(word_scores, name: str) -> tuple[Tensor, np.ndarray]:
-    """A nonempty score vector as a one-pair batch: (1, 1, length) scores, (1, length) mask."""
-    ws = _as_tensor(word_scores)
-    if ws.ndim != 1 or ws.size < 1:
-        raise ShapeError(f"{name} expects a nonempty score vector")
-    return ws.reshape((1, 1, ws.size)), np.ones((1, ws.size), dtype=bool)
-
-
-def matched_word_loss(word_scores, weights: LossWeights, boundary=0.0) -> Tensor:
-    """Mean hinge pushing every word score of a matched pair positive.
-
-    (1/length) * sum_i max(bias - (s_i - boundary), 0); zero exactly when
-    every score clears boundary + bias.
-    """
-    scores, mask = _one_pair(word_scores, "matched_word_loss")
-    return nm.matched_word_hinge(scores, mask, [0], [0], weights.matched_bias, boundary)
-
-
-def mismatched_word_loss(word_scores, weights: LossWeights, boundary=0.0) -> Tensor:
-    """Hinge pushing the weakest word score of a mismatched pair negative.
-
-    max(min_i s_i - min(boundary, 0) + bias, 0); zero exactly when the
-    minimum drops to min(boundary, 0) - bias or lower.
-    """
-    scores, mask = _one_pair(word_scores, "mismatched_word_loss")
-    return nm.mismatched_word_hinge(scores, mask, [0], [0], weights.mismatched_bias, boundary)
-
-
-def identity_loss(x, label: int, classifier) -> Tensor:
-    """Cross-entropy of softmax(classifier @ x) at the true identity."""
-    xv, w = _as_tensor(x), _as_tensor(classifier)
-    if xv.ndim != 1 or w.ndim != 2 or w.shape[1] != xv.shape[0]:
-        raise ShapeError(f"classifier {w.shape} does not apply to embedding {xv.shape}")
-    return mean_identity_loss(xv.reshape((1, xv.size)), [label], w)
-
-
-# row 0 / column 0 hold the matched image / text; the other cells are negatives
-_ONE_PAIR_DIFF = np.array([[False, True], [True, False]])
-
-
-def ranking_loss(s_matched, s_img_negtext, s_negimg_text, margin: float) -> Tensor:
-    """Two-sided hinge: the matched pair must beat both negatives by ``margin``."""
-    # the (negative image, negative text) cell is never read; s_matched fills it
-    sim = nm.stack([nm.stack([s_matched, s_img_negtext]), nm.stack([s_negimg_text, s_matched])])
-    return nm.hardest_negative_hinge(sim, _ONE_PAIR_DIFF, [0], [0], margin)
 
 
 def total_loss(matched, mismatched, identity, rank_global, rank_local, rank_local_neg,

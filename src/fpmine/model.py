@@ -5,7 +5,7 @@ when one is supplied and run as plain array math when it is None. The
 model only gathers a batch (encodes its images and padded captions, and
 maps plan pairs to batch rows) and calls the batched kernels: ``numerics``
 for the cosines, the word hinges and the ranking hinge, ``similarity`` and
-``losses`` for the rest; the per-pair functions there call the same ones.
+``losses`` for the rest. One pair is a batch of one.
 """
 
 from __future__ import annotations

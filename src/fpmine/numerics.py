@@ -157,10 +157,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
     def reshape(self, shape) -> "Tensor":
         return reshape(self, shape)
 

@@ -190,6 +190,9 @@ def train(dataset: SyntheticDataset, config: TrainConfig, *,
     train_idx, val_idx = identity_split(dataset, config.val_fraction, seed=config.seed)
     if train_idx.size == 0:
         raise ConfigError("empty training split")
+    if train_idx.size < config.batch_size // 2:  # balanced_batches drops a partial batch
+        raise ConfigError(f"the training split holds {train_idx.size} samples, but a batch of "
+                          f"{config.batch_size} needs at least {config.batch_size // 2}")
 
     if start is not None and start.encoder_config != dataset.config:
         raise ConfigError("checkpoint was trained with a different encoder config")

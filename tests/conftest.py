@@ -1,16 +1,33 @@
-"""Shared fixtures: the acceptance benchmark profile and a training cache.
+"""Shared fixtures: the acceptance benchmark profile and a training cache, plus the
+one-pair batches the loss and similarity tests hand the batched kernels.
 
 Training runs are the expensive part of acceptance, and several criteria
 read the same runs, so trained variants are cached per (variant, seed)
 for the whole session.
 """
 
+import numpy as np
 import pytest
 
+from fpmine import numerics as nm
 from fpmine.dataset import generate_synthetic_dataset, identity_split
 from fpmine.encoders import EncoderConfig
 from fpmine.evaluation import variant_config
+from fpmine.numerics import Tensor
 from fpmine.training import TrainConfig, train
+
+
+def one_pair(scores):
+    """One pair's word scores as a batch of one, every word valid: the (1, 1, L) scores
+    (a taped ``scores`` stays on its tape) and their (1, L) mask."""
+    s = scores if isinstance(scores, Tensor) else Tensor(scores)
+    return nm.reshape(s, (1, 1, s.size)), np.ones((1, s.size), dtype=bool)
+
+
+# the negatives of a (2, 2) similarity matrix that holds one pair: row 0 / column 0 are
+# the matched image / text, the off-diagonal cells their negatives; cell (1, 1) goes unread
+PAIR_NEGATIVES = ~np.eye(2, dtype=bool)
+
 
 # benchmark profile for the directional ablations: hard-negative twins at
 # fraction 0.3, collision-free identity codes, faint pervasive details

@@ -10,19 +10,17 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ACCEPT_SEEDS, accept_config
+from conftest import ACCEPT_SEEDS, PAIR_NEGATIVES, accept_config, one_pair
+from fpmine import losses as ls
 from fpmine import numerics as nm
 from fpmine.dataset import twin_pairs
 from fpmine.encoders import EncoderConfig
 from fpmine.evaluation import (evaluate_retrieval, mining_activity,
                                negative_evidence_report, planted_contradiction_pairs,
                                rank_rows, recall_at_k)
-from fpmine.losses import (LossWeights, identity_loss, matched_word_loss,
-                           mismatched_word_loss, ranking_loss)
+from fpmine.losses import LossWeights
 from fpmine.numerics import GradTape, Tensor, backward, finite_difference_grad
-from fpmine.similarity import (MiningParams, global_similarity, local_similarity,
-                               mining_mask, negative_similarity, overall_similarity,
-                               word_max_scores, word_region_scores)
+from fpmine.similarity import MiningParams, fuse, mined_evidence, mining_mask, projected
 from fpmine.training import save_checkpoint, train
 
 W = LossWeights()
@@ -59,9 +57,10 @@ def check_path(fn, arrays, tol=1e-5, h=5e-4):
 
 
 def make_paths(rng):
-    """Non-kink random instances for every similarity path and loss."""
+    """Non-kink random instances for every similarity path and loss, one pair a batch of one."""
     k, c, m, length, p = 3, 6, 4, 4, 5
     margin = 1e-3
+    all_words = np.ones((1, length), dtype=bool)
 
     def vec(n, lo=0.5, hi=1.5):
         v = rng.normal(size=n)
@@ -75,23 +74,25 @@ def make_paths(rng):
                 return [a, b]
 
     def local_inputs():
+        # each image's and caption's K local embeddings as one region-major row
         while True:
             a, b = rng.normal(size=(k, p)), rng.normal(size=(k, p))
             fa, fb = a.reshape(-1), b.reshape(-1)
             cos = fa @ fb / (np.linalg.norm(fa) * np.linalg.norm(fb))
             if abs(cos) < 0.99:
-                return [a, b]
+                return [fa[None], fb[None]]
 
     def fpm_inputs():
         # scores away from the clamp, column-wise max gaps, mask kinks, and
-        # the hinge kinks of both word losses
+        # the hinge kinks of both word losses; one (1, K, C) image, one (1, L, C) caption
         while True:
             v = rng.normal(size=(k, c))
             e = rng.normal(size=(c, length))
             theta = rng.normal(size=(m, c))
             phi = rng.normal(size=(m, c))
-            scores = word_region_scores(Tensor(v), Tensor(e),
-                                        MiningParams(Tensor(theta), Tensor(phi))).data
+            words = np.ascontiguousarray(e.T)
+            scores = nm.cosine(*projected(Tensor(v), Tensor(words),
+                                          MiningParams(Tensor(theta), Tensor(phi)))).data
             if np.max(np.abs(scores)) > 0.99:
                 continue
             col_sorted = np.sort(scores, axis=0)
@@ -108,57 +109,60 @@ def make_paths(rng):
                 continue
             if abs(smin + W.mismatched_bias) < margin:
                 continue
-            return [v, e, theta, phi]
+            return [v[None], words[None], theta, phi]
 
     def scores_fn(v, e, theta, phi):
-        weights = np.linspace(0.5, 1.5, k * length).reshape(k, length)
-        return (word_region_scores(v, e, MiningParams(theta, phi)) * weights).sum()
+        weights = np.linspace(0.5, 1.5, k * length).reshape(k, 1, length)
+        return (nm.cosine(*projected(v, e, MiningParams(theta, phi))) * weights).sum()
 
     def neg_chain_fn(v, e, theta, phi):
-        scores = word_region_scores(v, e, MiningParams(theta, phi))
-        per_word = word_max_scores(scores)
-        neg, local_neg = negative_similarity(per_word, Tensor(0.37))
-        return overall_similarity(Tensor(0.21), Tensor(0.37), local_neg)
+        per_word = nm.max_cosine(*projected(v, e, MiningParams(theta, phi)), k)
+        _, _, local_neg = mined_evidence(per_word, all_words, Tensor([[0.37]]))
+        return fuse({"global": Tensor([[0.21]]), "local": Tensor([[0.37]]),
+                     "local_negative": local_neg}, "full").sum()
 
     def mask_fn(v, e, theta, phi):
-        per_word = word_max_scores(word_region_scores(v, e, MiningParams(theta, phi)))
+        per_word = nm.max_cosine(*projected(v, e, MiningParams(theta, phi)), k)
         return mining_mask(per_word).sum()
 
     def matched_fn(v, e, theta, phi):
-        per_word = word_max_scores(word_region_scores(v, e, MiningParams(theta, phi)))
-        return matched_word_loss(per_word, W)
+        per_word = nm.max_cosine(*projected(v, e, MiningParams(theta, phi)), k)
+        return nm.matched_word_hinge(per_word, all_words, [0], [0], W.matched_bias)
 
     def mismatched_fn(v, e, theta, phi):
-        per_word = word_max_scores(word_region_scores(v, e, MiningParams(theta, phi)))
-        return mismatched_word_loss(per_word, W)
+        per_word = nm.max_cosine(*projected(v, e, MiningParams(theta, phi)), k)
+        return nm.mismatched_word_hinge(per_word, all_words, [0], [0], W.mismatched_bias)
 
     def identity_inputs():
-        return [rng.normal(size=p), rng.normal(size=(6, p))]
+        return [rng.normal(size=p)[None], rng.normal(size=(6, p))]
 
     def ranking_inputs():
+        # one (2, 2) similarity matrix: the pair, its negative caption and image
         while True:
             s = rng.uniform(-0.8, 0.8, size=3)
             if (abs(W.ranking_margin - s[0] + s[1]) > margin
                     and abs(W.ranking_margin - s[0] + s[2]) > margin):
-                return [np.asarray(x) for x in s]
+                return [np.array([[s[0], s[1]], [s[2], s[0]]])]
 
-    def combined_fn(pos, nt, ni):
-        r = ranking_loss(pos, nt, ni, W.ranking_margin)
+    def ranking_fn(sim):
+        return nm.hardest_negative_hinge(sim, PAIR_NEGATIVES, [0], [0], W.ranking_margin)
+
+    def combined_fn(sim):
+        r = ranking_fn(sim)
         return nm.add(nm.add(r, nm.mul(r, W.ranking_local_weight)),
                       nm.mul(r, W.ranking_localneg_weight))
 
     return [
-        ("global similarity", cosine_inputs, global_similarity),
-        ("local similarity", local_inputs, local_similarity),
+        ("global similarity", cosine_inputs, nm.cosine),
+        ("local similarity", local_inputs, lambda a, b: nm.cosine(a, b).sum()),
         ("word-region scores", fpm_inputs, scores_fn),
         ("mining mask chain", fpm_inputs, mask_fn),
         ("negative-evidence fusion", fpm_inputs, neg_chain_fn),
         ("matched word loss", fpm_inputs, matched_fn),
         ("mismatched word loss", fpm_inputs, mismatched_fn),
         ("identity loss", identity_inputs,
-         lambda x, w: identity_loss(x, 2, w)),
-        ("ranking loss", ranking_inputs,
-         lambda a, b, c: ranking_loss(a, b, c, W.ranking_margin)),
+         lambda x, w: ls.mean_identity_loss(x, [2], w)),
+        ("ranking loss", ranking_inputs, ranking_fn),
         ("combined ranking", ranking_inputs, combined_fn),
     ]
 
@@ -185,8 +189,9 @@ def make_boundary_path(rng):
             return [scores, np.asarray(tau)]
 
     def boundary_fn(scores, tau):
-        return nm.add(matched_word_loss(scores, W, boundary=tau),
-                      mismatched_word_loss(scores, W, boundary=tau))
+        pair = one_pair(scores)
+        return nm.add(nm.matched_word_hinge(*pair, [0], [0], W.matched_bias, tau),
+                      nm.mismatched_word_hinge(*pair, [0], [0], W.mismatched_bias, tau))
 
     return ("word losses with learnable boundary", boundary_inputs, boundary_fn)
 
@@ -287,11 +292,13 @@ def test_criterion_2_loss_boundary_laws(acceptance_record):
     grid = np.arange(-300, 301) * 0.001  # 601 points over [-0.3, 0.3]
     ok = True
     for s_min in grid:
-        matched_zero = matched_word_loss(Tensor([s_min, 0.25]), W).item() == 0.0
-        if matched_zero != bool(s_min >= 0.001):
+        matched = nm.matched_word_hinge(*one_pair([s_min, 0.25]), [0], [0], W.matched_bias)
+        if (matched.item() == 0.0) != bool(s_min >= 0.001):
             ok = False
             break
-        mismatched_zero = mismatched_word_loss(Tensor([s_min, 0.29]), W).item() == 0.0
+        mismatched = nm.mismatched_word_hinge(*one_pair([s_min, 0.29]), [0], [0],
+                                              W.mismatched_bias)
+        mismatched_zero = mismatched.item() == 0.0
         if mismatched_zero != bool(s_min <= -0.15):
             ok = False
             break

@@ -587,6 +587,58 @@ class TestTrainEval:
             argv = ["train", "--config", config_file]
         assert main(argv + ["--data", str(bad), "--out", str(tmp_path / "e")]) == 2
 
+    @pytest.mark.parametrize("extra", [[], ["--val-fraction", "0"]], ids=["val", "no-val"])
+    def test_split_too_small_for_one_batch_exit_1(self, tmp_path, capsys, extra):
+        # 4 training samples, and a batch of 64 takes 32 matched pairs: no batch fits
+        data = tmp_path / "data"
+        assert main(["gen-data", "--identities", "2", "--per-identity", "2",
+                     "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["train", "--data", str(data / "dataset.bin"), "--epochs", "1",
+                     "--out", str(tmp_path / "r"), *extra]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert "4 samples" in err[0] and "batch of 64" in err[0] and "32" in err[0]
+        assert not (tmp_path / "r" / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize("line,field", [
+        ("image_raw_dim = 10", "image_raw_dim"), ("text_raw_dim = 9", "text_raw_dim"),
+        ("region_count = 4", "region_count"),
+        # captions of up to 12 words, past the checkpoint's 8
+        ("max_words = 20\nattribute_count = 8", "max_words")])
+    def test_eval_dataset_unlike_the_checkpoint_exit_1(self, tmp_path, config_file, data_dir,
+                                                       capsys, line, field):
+        run, other, ev = tmp_path / "run", tmp_path / "other", tmp_path / "eval"
+        assert main(["train", "--config", config_file, "--epochs", "0",
+                     "--data", str(data_dir / "dataset.bin"), "--out", str(run)]) == 0
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text(DATA_CONFIG_TEXT + line + "\n")
+        assert main(["gen-data", "--seed", "3", "--identities", "6", "--per-identity", "4",
+                     "--config", str(cfg), "--out", str(other)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.bin"), "--data",
+                     str(other / "dataset.bin"), "--out", str(ev)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and field in err[0]
+        assert not ev.exists()
+
+    @pytest.mark.parametrize("line,identities", [
+        ("feature_dim = 20", "6"), ("shared_dim = 4", "6"), ("projection_dim = 3", "6"),
+        ("", "9")], ids=["feature_dim", "shared_dim", "projection_dim", "identity_count"])
+    def test_eval_dataset_differing_in_learned_sizes_only_exit_0(self, tmp_path, config_file,
+                                                                data_dir, line, identities):
+        # the checkpoint's own sizes rule the model; only raw inputs must fit it
+        run, other, ev = tmp_path / "run", tmp_path / "other", tmp_path / "eval"
+        assert main(["train", "--config", config_file, "--epochs", "0",
+                     "--data", str(data_dir / "dataset.bin"), "--out", str(run)]) == 0
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text(DATA_CONFIG_TEXT + line + "\n")
+        assert main(["gen-data", "--seed", "3", "--identities", identities,
+                     "--per-identity", "4", "--config", str(cfg), "--out", str(other)]) == 0
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.bin"), "--data",
+                     str(other / "dataset.bin"), "--report", "--out", str(ev)]) == 0
+        assert (ev / "results.json").exists()
+
     def test_usage_error_exit_1(self):
         assert main(["train"]) == 1
         assert main(["eval", "--fusion", "sideways"]) == 1

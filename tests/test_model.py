@@ -1,4 +1,4 @@
-"""Batched model path vs per-pair calls and numpy oracles, plus flag semantics."""
+"""Batched model path vs batches of one and numpy oracles, plus flag semantics."""
 
 import itertools
 from dataclasses import fields
@@ -11,16 +11,13 @@ from fpmine import losses as ls
 from fpmine import model as model_module
 from fpmine import numerics as nm
 from fpmine.dataset import generate_synthetic_dataset
-from fpmine.encoders import (EncoderConfig, encode_image, encode_images_batch, encode_text,
-                             encode_texts_batch)
+from fpmine.encoders import EncoderConfig, encode_images_batch, encode_texts_batch
 from fpmine.errors import ConfigError
 from fpmine.evaluation import ABLATION_VARIANTS, rank_rows, variant_config
 from fpmine.model import FUSIONS, Model, ModelFlags, init_params
 from fpmine.numerics import GradTape, Tensor, backward
 from fpmine.sampling import balanced_batches
-from fpmine.similarity import (MiningParams, global_similarity, local_similarity,
-                               negative_similarity, pair_breakdown, word_max_scores,
-                               word_region_scores)
+from fpmine.similarity import fuse
 from fpmine.training import TrainConfig
 
 CFG = EncoderConfig(feature_dim=12, shared_dim=6, projection_dim=5, region_count=3,
@@ -66,7 +63,7 @@ class TestInitParams:
 
 
 class TestComponentsAgainstPairOps:
-    """The batched similarity matrices must equal the per-pair reference ops."""
+    """The batched similarity matrices must equal each pair scored as a batch of one."""
 
     def setup_method(self):
         self.ds = toy_dataset()
@@ -76,20 +73,13 @@ class TestComponentsAgainstPairOps:
 
     def test_matrices_match_pair_breakdowns(self):
         comps = self.model.score_components(self.images, self.texts)
-        bound = self.model.bind(None)
-        mining = self.model.mining_params(bound)
         for i, img_s in enumerate(self.images):
-            img = encode_image(img_s.image_raw, bound, CFG)
             for j, txt_s in enumerate(self.texts):
-                txt = encode_text(txt_s.text_raw, bound, CFG)
-                b = pair_breakdown(img, txt, mining)
-                assert comps["global"][i, j] == pytest.approx(b.global_score, abs=1e-10)
-                assert comps["local"][i, j] == pytest.approx(b.local_score, abs=1e-10)
-                assert comps["negative"][i, j] == pytest.approx(b.negative_score, abs=1e-10)
-                assert comps["local_negative"][i, j] == pytest.approx(
-                    b.local_negative_score, abs=1e-10)
+                one = self.model.score_components([img_s], [txt_s])
+                for name in ("global", "local", "negative", "local_negative"):
+                    assert comps[name][i, j] == pytest.approx(one[name].item(), abs=1e-10), name
                 full = comps["global"][i, j] + comps["local"][i, j] + comps["local_negative"][i, j]
-                assert full == pytest.approx(b.overall_score, abs=1e-10)
+                assert full == pytest.approx(fuse(one, "full").item(), abs=1e-10)
 
     def test_word_scores_match_pair_path(self):
         bound = self.model.bind(None)
@@ -97,13 +87,11 @@ class TestComponentsAgainstPairOps:
         scores = self.model.word_score_tensor(
             *self.model._encode(self.images, self.texts, bound), mining).data
         for i, img_s in enumerate(self.images):
-            img = encode_image(img_s.image_raw, bound, CFG)
             for j, txt_s in enumerate(self.texts):
-                txt = encode_text(txt_s.text_raw, bound, CFG)
-                per_word = word_max_scores(
-                    word_region_scores(img.raw_parts, txt.raw_parts, mining))
+                per_word = self.model.word_score_tensor(
+                    *self.model._encode([img_s], [txt_s], bound), mining).data[0, 0]
                 got = scores[i, j, :txt_s.length]
-                assert np.allclose(got, per_word.data, atol=1e-10)
+                assert np.allclose(got, per_word, atol=1e-10)
 
     def test_fusion_recomputed_independently(self):
         comps = self.model.score_components(self.images, self.texts)
@@ -122,7 +110,7 @@ class TestComponentsAgainstPairOps:
 
 
 class TestBatchLossAgainstReference:
-    """The vectorized batch loss must equal a per-pair reassembly."""
+    """The vectorized batch loss must equal a reassembly from pairs scored one at a time."""
 
     def reference_loss(self, model, ds, plan):
         bound = model.bind(None)
@@ -130,45 +118,43 @@ class TestBatchLossAgainstReference:
         w = model.weights
         samples = ds.samples
 
-        def word_vec(img_idx, txt_idx):
-            img = encode_image(samples[img_idx].image_raw, bound, CFG)
-            txt = encode_text(samples[txt_idx].text_raw, bound, CFG)
-            return word_max_scores(word_region_scores(img.raw_parts, txt.raw_parts, mining))
+        def word_hinge(hinge, bias, img_idx, txt_idx):
+            images, texts = model._encode([samples[img_idx]], [samples[txt_idx]], bound)
+            scores = model.word_score_tensor(images, texts, mining)
+            return hinge(scores, texts.mask, [0], [0], bias).item()
 
-        l_m = float(np.mean([ls.matched_word_loss(word_vec(i, t), w).item()
+        l_m = float(np.mean([word_hinge(nm.matched_word_hinge, w.matched_bias, i, t)
                              for i, t in plan.matched]))
-        l_mm = float(np.mean([ls.mismatched_word_loss(word_vec(i, t), w).item()
+        l_mm = float(np.mean([word_hinge(nm.mismatched_word_hinge, w.mismatched_bias, i, t)
                               for i, t in plan.mismatched]))
 
         img_idx = sorted({i for i, _ in plan.matched} | {i for i, _ in plan.mismatched})
         txt_idx = sorted({t for _, t in plan.matched} | {t for _, t in plan.mismatched})
-        img_b = {i: encode_image(samples[i].image_raw, bound, CFG) for i in img_idx}
-        txt_b = {t: encode_text(samples[t].text_raw, bound, CFG) for t in txt_idx}
+        # each sample encoded alone, as both an image and a caption
+        enc = {g: model._encode([samples[g]], [samples[g]], bound)
+               for g in set(img_idx) | set(txt_idx)}
 
         def ce(emb, label, key):
-            return ls.identity_loss(emb, label, bound[key]).item()
+            return ls.mean_identity_loss(emb, [label], bound[key]).item()
 
-        flat = CFG.region_count * CFG.shared_dim
         l_id = (
-            np.mean([ce(img_b[i].global_embed, samples[i].identity_id, "id_global_w")
+            np.mean([ce(enc[i][0].global_embed, samples[i].identity_id, "id_global_w")
                      for i in img_idx])
-            + np.mean([ce(txt_b[t].global_embed, samples[t].identity_id, "id_global_w")
+            + np.mean([ce(enc[t][1].global_embed, samples[t].identity_id, "id_global_w")
                        for t in txt_idx])
             + w.identity_local_weight * (
-                np.mean([ce(img_b[i].local_embed.reshape((flat,)),
-                            samples[i].identity_id, "id_local_w") for i in img_idx])
-                + np.mean([ce(txt_b[t].local_embed.reshape((flat,)),
-                              samples[t].identity_id, "id_local_w") for t in txt_idx])))
+                np.mean([ce(enc[i][0].local_embed, samples[i].identity_id, "id_local_w")
+                         for i in img_idx])
+                + np.mean([ce(enc[t][1].local_embed, samples[t].identity_id, "id_local_w")
+                           for t in txt_idx])))
 
-        sims = {}
-        for branch in ("global", "local", "local_negative"):
-            m = np.zeros((len(img_idx), len(txt_idx)))
-            for a, i in enumerate(img_idx):
-                for b_, t in enumerate(txt_idx):
-                    bd = pair_breakdown(img_b[i], txt_b[t], mining)
-                    m[a, b_] = {"global": bd.global_score, "local": bd.local_score,
-                                "local_negative": bd.local_negative_score}[branch]
-            sims[branch] = m
+        sims = {branch: np.zeros((len(img_idx), len(txt_idx)))
+                for branch in ("global", "local", "local_negative")}
+        for a, i in enumerate(img_idx):
+            for b_, t in enumerate(txt_idx):
+                one = model.score_components([samples[i]], [samples[t]])
+                for branch, m in sims.items():
+                    m[a, b_] = one[branch].item()
 
         img_labels = np.array([samples[i].identity_id for i in img_idx])
         txt_labels = np.array([samples[t].identity_id for t in txt_idx])
@@ -580,18 +566,16 @@ class TestBlockedScoring:
         comps, _ = self.score(model, monkeypatch, 2 * self.row_bytes(self.texts))
         bound = model.bind(None)
         i, j = len(self.images) - 1, 2  # in the last block, images 9 and 10
-        b = pair_breakdown(encode_image(self.images[i].image_raw, bound, CFG),
-                           encode_text(self.texts[j].text_raw, bound, CFG),
-                           model.mining_params(bound))
+        one = model.score_components([self.images[i]], [self.texts[j]])
+        for name in ("global", "local", "negative", "local_negative"):
+            assert comps[name][i, j] == pytest.approx(one[name].item(), abs=1e-12), name
         length = self.texts[j].length
-        assert comps["global"][i, j] == pytest.approx(b.global_score, abs=1e-12)
-        assert comps["local"][i, j] == pytest.approx(b.local_score, abs=1e-12)
-        assert comps["negative"][i, j] == pytest.approx(b.negative_score, abs=1e-12)
-        assert comps["local_negative"][i, j] == pytest.approx(b.local_negative_score, abs=1e-12)
         last = model._encode(self.images[i - 1:], self.texts, bound)
+        alone = model._encode([self.images[i]], [self.texts[j]], bound)
         np.testing.assert_allclose(
             model.word_score_tensor(*last, model.mining_params(bound)).data[1, j, :length],
-            b.word_scores, rtol=0, atol=1e-12)
+            model.word_score_tensor(*alone, model.mining_params(bound)).data[0, 0],
+            rtol=0, atol=1e-12)
 
     def test_peak_allocation_is_outputs_plus_blocks(self, monkeypatch):
         # 160 x 160 pairs: the whole (n, n * pad) word-score array is 1.6 MB, twice

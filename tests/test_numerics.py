@@ -256,7 +256,7 @@ def per_strip_heads(x, w, b):
         bs = nm.take_rows(b, [strip]).reshape((p,))
         xs = x if x.ndim == 2 else nm.take_rows(x.reshape((x.shape[0] * k, c)),
                                                  np.arange(x.shape[0]) * k + strip)
-        heads.append(nm.matmul(xs, ws.T) + bs)
+        heads.append(nm.matmul(xs, nm.transpose(ws)) + bs)
     return nm.stack(heads, axis=1)
 
 
@@ -1042,7 +1042,8 @@ class TestHelperOps:
     def test_reshape_transpose_gradient(self):
         rng = np.random.default_rng(10)
         a = rng.normal(size=(3, 4))
-        assert_grad_matches(lambda x: (x.T.reshape((12,)) * np.arange(12.0)).sum(), a)
+        assert_grad_matches(
+            lambda x: (nm.transpose(x).reshape((12,)) * np.arange(12.0)).sum(), a)
 
     def test_div_gradient(self):
         rng = np.random.default_rng(11)

@@ -1,61 +1,81 @@
-"""Similarity branches: hand oracles, invariants, and gradient checks."""
+"""Similarity branches: hand oracles, invariants, and gradient checks on the batched kernels.
+
+A pair is a batch of one: the global and local branches are ``nm.cosine`` of rows, the
+per-word scores ``nm.max_cosine`` of projected regions and words, and the evidence
+``mined_evidence`` of (1, 1, L) scores.
+"""
 
 import numpy as np
 import pytest
+from conftest import one_pair
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpmine import numerics as nm
-from fpmine.encoders import EmbeddingBundle
+from fpmine.dataset import generate_synthetic_dataset
+from fpmine.encoders import EncoderConfig
 from fpmine.errors import ShapeError
+from fpmine.evaluation import negative_evidence_report
+from fpmine.model import Model, ModelFlags
 from fpmine.numerics import GradTape, Tensor, backward, finite_difference_grad
-from fpmine.similarity import (MiningParams, global_similarity, local_similarity,
-                               mined_evidence, mining_mask, negative_similarity, overall_similarity,
-                               pair_breakdown, word_max_scores, word_region_scores)
+from fpmine.similarity import MiningParams, fuse, mined_evidence, mining_mask, projected
 
 
 def mining(theta, phi):
     return MiningParams(Tensor(theta), Tensor(phi))
 
 
+def unit_rows(cosines) -> np.ndarray:
+    """2-D unit rows whose cosines with (1, 0) are ``cosines``."""
+    c = np.asarray(cosines, dtype=np.float64)
+    return np.stack([c, np.sqrt(1.0 - c * c)], axis=-1)
+
+
+def branches(global_score, local_score, local_negative):
+    return {"global": global_score, "local": local_score, "local_negative": local_negative}
+
+
 class TestGlobalSimilarity:
     def test_identical(self):
         v = Tensor([1.0, 2.0, 3.0])
-        assert global_similarity(v, Tensor([1.0, 2.0, 3.0])).item() == 1.0
+        assert nm.cosine(v, Tensor([1.0, 2.0, 3.0])).item() == 1.0
 
     def test_orthogonal(self):
-        assert global_similarity(Tensor([1.0, 0.0]), Tensor([0.0, 1.0])).item() == 0.0
+        assert nm.cosine(Tensor([1.0, 0.0]), Tensor([0.0, 1.0])).item() == 0.0
 
     def test_hand_cosine(self):
-        assert global_similarity(Tensor([3.0, 4.0]), Tensor([4.0, 3.0])).item() \
+        assert nm.cosine(Tensor([3.0, 4.0]), Tensor([4.0, 3.0])).item() \
             == pytest.approx(0.96, abs=1e-15)
 
 
 class TestLocalSimilarity:
+    """The local branch is the cosine of region-major (1, K * P) rows."""
+
     def test_identical(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert local_similarity(Tensor(m), Tensor(m.copy())).item() == 1.0
+        m = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, -1)
+        assert nm.cosine(Tensor(m), Tensor(m.copy())).item() == 1.0
 
     def test_k1_reduces_to_global(self):
         rng = np.random.default_rng(0)
         a, b = rng.normal(size=(1, 5)), rng.normal(size=(1, 5))
-        loc = local_similarity(Tensor(a), Tensor(b)).item()
-        glb = global_similarity(Tensor(a[0]), Tensor(b[0])).item()
+        loc = nm.cosine(Tensor(a), Tensor(b)).item()
+        glb = nm.cosine(Tensor(a[0]), Tensor(b[0])).item()
         assert loc == pytest.approx(glb, abs=1e-15)
 
     def test_against_flatten_cosine_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             a, b = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
-            got = local_similarity(Tensor(a), Tensor(b)).item()
+            got = nm.cosine(Tensor(a.reshape(1, -1)), Tensor(b.reshape(1, -1))).item()
             # independent oracle: explicit flatten then raw cosine formula
             fa, fb = a.reshape(-1), b.reshape(-1)
             want = float(fa @ fb / (np.linalg.norm(fa) * np.linalg.norm(fb)))
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_region_count_mismatch(self):
+        # rows of 2 and 3 regions of 3 have different widths
         with pytest.raises(ShapeError):
-            local_similarity(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))))
+            nm.cosine(Tensor(np.ones((1, 6))), Tensor(np.ones((1, 9))))
 
 
 class TestWordRegionScores:
@@ -64,23 +84,22 @@ class TestWordRegionScores:
         c, m = 4, 4
         theta = phi = np.eye(m, c)
         v = np.array([[1.0, 2.0, 3.0, 4.0]])
-        e = v.T
-        scores = word_region_scores(Tensor(v), Tensor(e), mining(theta, phi))
-        assert scores.data.shape == (1, 1)
+        scores = nm.cosine(*projected(Tensor(v), Tensor(v.copy()), mining(theta, phi))).data
+        assert scores.shape == (1, 1)
         assert scores.item() == pytest.approx(1.0, abs=1e-12)
 
     def test_projected_orthogonal(self):
         theta = phi = np.eye(2, 2)
         v = np.array([[1.0, 0.0]])
-        e = np.array([[0.0], [1.0]])
-        assert word_region_scores(Tensor(v), Tensor(e), mining(theta, phi)).item() == 0.0
+        e = np.array([[0.0, 1.0]])
+        assert nm.cosine(*projected(Tensor(v), Tensor(e), mining(theta, phi))).data.item() == 0.0
 
     def test_2x2_against_per_pair_cosine_oracle(self):
         rng = np.random.default_rng(2)
         c, m, k, length = 5, 3, 2, 2
         theta, phi = rng.normal(size=(m, c)), rng.normal(size=(m, c))
         v, e = rng.normal(size=(k, c)), rng.normal(size=(c, length))
-        got = word_region_scores(Tensor(v), Tensor(e), mining(theta, phi)).data
+        got = nm.cosine(*projected(Tensor(v), Tensor(e.T), mining(theta, phi))).data
         for i in range(k):
             for j in range(length):
                 pv, pe = theta @ v[i], phi @ e[:, j]
@@ -93,7 +112,7 @@ class TestWordRegionScores:
         c = 4
         v = rng.normal(size=(1, c))
         e = rng.normal(size=(c, 3))
-        got = word_region_scores(Tensor(v), Tensor(e), mining(np.eye(c), np.eye(c))).data
+        got = nm.cosine(*projected(Tensor(v), Tensor(e.T), mining(np.eye(c), np.eye(c)))).data
         for j in range(3):
             want = nm.cosine(Tensor(v[0]), Tensor(e[:, j])).item()
             assert got[0, j] == pytest.approx(want, abs=1e-12)
@@ -102,22 +121,27 @@ class TestWordRegionScores:
         rng = np.random.default_rng(4)
         theta, phi = rng.normal(size=(3, 6)), rng.normal(size=(3, 6))
         v, e = rng.normal(size=(4, 6)) * 10, rng.normal(size=(6, 5)) * 10
-        scores = word_region_scores(Tensor(v), Tensor(e), mining(theta, phi)).data
+        scores = nm.cosine(*projected(Tensor(v), Tensor(e.T), mining(theta, phi))).data
         assert np.all(scores >= -1.0) and np.all(scores <= 1.0)
 
 
 class TestWordMaxScores:
+    """Each word's score is its max over the image's regions, ``nm.max_cosine``: one image
+    of unit-row regions against one caption, so the cosines are the listed values."""
+
     def test_column_enumeration(self):
-        col = Tensor(np.array([[0.2], [-0.5], [0.7]]))
-        assert word_max_scores(col).data.tolist() == [0.7]
+        word = Tensor([[[1.0, 0.0]]])
+        got = nm.max_cosine(Tensor(unit_rows([[0.2, -0.5, 0.7]])), word, 3).data[0, 0]
+        assert got.tolist() == pytest.approx([0.7], abs=1e-15)
 
     def test_k1_identity(self):
-        row = Tensor(np.array([[0.3, -0.2, 0.9]]))
-        assert word_max_scores(row).data.tolist() == [0.3, -0.2, 0.9]
+        region = Tensor([[[1.0, 0.0]]])
+        got = nm.max_cosine(region, Tensor(unit_rows([[0.3, -0.2, 0.9]])), 1).data[0, 0]
+        assert got.tolist() == pytest.approx([0.3, -0.2, 0.9], abs=1e-15)
 
     def test_all_negative_column(self):
-        col = Tensor(np.array([[-0.4], [-0.1]]))
-        assert word_max_scores(col).data.tolist() == [-0.1]
+        got = nm.max_cosine(Tensor(unit_rows([[-0.4, -0.1]])), Tensor([[[1.0, 0.0]]]), 2).data[0, 0]
+        assert got.tolist() == pytest.approx([-0.1], abs=1e-15)
 
 
 class TestMiningMask:
@@ -214,39 +238,43 @@ class TestMinedEvidence:
                 assert np.abs(new).tobytes() == np.abs(old).tobytes()
 
 
+
+
 class TestNegativeSimilarity:
+    """``mined_evidence`` of one pair: (1, 1, L) word scores and a (1, 1) local score."""
+
     def test_hand_sum(self):
-        neg, local_neg = negative_similarity(Tensor([0.4, -0.2, -0.1]), Tensor(0.6))
+        _, neg, local_neg = mined_evidence(*one_pair([0.4, -0.2, -0.1]), Tensor([[0.6]]))
         assert neg.item() == pytest.approx(-0.3, abs=1e-15)
         assert local_neg.item() == pytest.approx(0.3, abs=1e-15)
 
     def test_all_positive(self):
-        neg, local_neg = negative_similarity(Tensor([0.4, 0.2]), Tensor(0.6))
+        _, neg, local_neg = mined_evidence(*one_pair([0.4, 0.2]), Tensor([[0.6]]))
         assert neg.item() == 0.0
         assert local_neg.item() == pytest.approx(0.6)
 
     def test_single_word_cancels(self):
-        neg, local_neg = negative_similarity(Tensor([-1.0]), Tensor(1.0))
+        _, neg, local_neg = mined_evidence(*one_pair([-1.0]), Tensor([[1.0]]))
         assert neg.item() == -1.0
         assert local_neg.item() == 0.0
 
     def test_unmasked_variant_sums_raw(self):
-        neg, _ = negative_similarity(Tensor([0.4, -0.2]), Tensor(0.0), use_mask=False)
+        _, neg, _ = mined_evidence(*one_pair([0.4, -0.2]), Tensor([[0.0]]), use_mask=False)
         assert neg.item() == pytest.approx(0.2)
 
 
 class TestOverallSimilarity:
     def test_hand_sum(self):
         # negative evidence -0.3 lifts into local_neg = 0.3
-        assert overall_similarity(0.5, 0.6, 0.3).item() == pytest.approx(1.4, abs=1e-15)
+        assert fuse(branches(0.5, 0.6, 0.3), "full").item() == pytest.approx(1.4, abs=1e-15)
 
     def test_no_evidence_doubles_local(self):
         s_l = 0.7
-        out = overall_similarity(0.2, s_l, s_l).item()
+        out = fuse(branches(0.2, s_l, s_l), "full").item()
         assert out == pytest.approx(0.2 + 2 * s_l)
 
     def test_all_zero(self):
-        assert overall_similarity(0.0, 0.0, 0.0).item() == 0.0
+        assert fuse(branches(0.0, 0.0, 0.0), "full").item() == 0.0
 
 
 class TestInvariants:
@@ -255,30 +283,30 @@ class TestInvariants:
     def test_word_permutation_leaves_negative_sum(self, seed):
         rng = np.random.default_rng(seed)
         scores = rng.uniform(-1, 1, size=6)
-        neg0, _ = negative_similarity(Tensor(scores), Tensor(0.0))
+        _, neg0, _ = mined_evidence(*one_pair(scores), Tensor([[0.0]]))
         perm = rng.permutation(scores)
-        neg1, _ = negative_similarity(Tensor(perm), Tensor(0.0))
+        _, neg1, _ = mined_evidence(*one_pair(perm), Tensor([[0.0]]))
         assert neg0.item() == pytest.approx(neg1.item(), abs=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1))
     def test_region_permutation_leaves_word_max(self, seed):
         rng = np.random.default_rng(seed)
-        scores = rng.uniform(-1, 1, size=(4, 5))
-        base = word_max_scores(Tensor(scores)).data
-        perm = word_max_scores(Tensor(scores[rng.permutation(4)])).data
+        regions, words = rng.normal(size=(4, 3)), Tensor(rng.normal(size=(1, 5, 3)))
+        base = nm.max_cosine(Tensor(regions), words, 4).data
+        perm = nm.max_cosine(Tensor(regions[rng.permutation(4)]), words, 4).data
         assert np.allclose(base, perm)
 
     def test_negative_sum_monotone_in_negative_score(self):
         scores = np.array([0.4, -0.2, -0.1])
-        neg0, _ = negative_similarity(Tensor(scores), Tensor(0.0))
+        _, neg0, _ = mined_evidence(*one_pair(scores), Tensor([[0.0]]))
         lowered = scores.copy()
         lowered[1] -= 0.2  # strictly decrease a negative word score
-        neg1, _ = negative_similarity(Tensor(lowered), Tensor(0.0))
+        _, neg1, _ = mined_evidence(*one_pair(lowered), Tensor([[0.0]]))
         assert neg1.item() < neg0.item()
         # and overall similarity strictly decreases with it
-        s0 = overall_similarity(0.5, 0.6, 0.6 + neg0.item()).item()
-        s1 = overall_similarity(0.5, 0.6, 0.6 + neg1.item()).item()
+        s0 = fuse(branches(0.5, 0.6, 0.6 + neg0.item()), "full").item()
+        s1 = fuse(branches(0.5, 0.6, 0.6 + neg1.item()), "full").item()
         assert s1 < s0
 
     @settings(max_examples=50, deadline=None)
@@ -287,7 +315,7 @@ class TestInvariants:
         rng = np.random.default_rng(seed)
         scores = rng.uniform(-1, 1, size=5)
         s_l = float(rng.uniform(-1, 1))
-        _, local_neg = negative_similarity(Tensor(scores), Tensor(s_l))
+        _, _, local_neg = mined_evidence(*one_pair(scores), Tensor([[s_l]]))
         assert local_neg.item() <= s_l + 1e-15
         if np.all(scores >= 0):
             assert local_neg.item() == pytest.approx(s_l)
@@ -316,46 +344,59 @@ class TestSimilarityGradients:
         phi = rng.normal(size=(m, c))
 
         def path(vt, et, th, ph):
-            scores = word_region_scores(vt, et, MiningParams(th, ph))
-            per_word = word_max_scores(scores)
-            neg, local_neg = negative_similarity(per_word, Tensor(0.4))
-            return overall_similarity(Tensor(0.3), Tensor(0.4), local_neg)
+            # one image (1, K, C) and one caption (1, L, C)
+            per_word = nm.max_cosine(*projected(vt, et, MiningParams(th, ph)), k)
+            _, _, local_neg = mined_evidence(per_word, np.ones((1, length), dtype=bool),
+                                             Tensor([[0.4]]))
+            return fuse(branches(Tensor([[0.3]]), Tensor([[0.4]]), local_neg), "full").sum()
 
-        self.fd_check(path, [v, e, theta, phi])
+        self.fd_check(path, [v[None], np.ascontiguousarray(e.T)[None], theta, phi])
 
     def test_local_similarity_gradient(self):
         rng = np.random.default_rng(8)
         a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        self.fd_check(lambda x, y: local_similarity(x, y), [a, b])
+        self.fd_check(lambda x, y: nm.cosine(x, y).sum(), [a.reshape(1, -1), b.reshape(1, -1)])
+
+
+CFG = EncoderConfig(feature_dim=12, shared_dim=6, projection_dim=5, region_count=3,
+                    max_words=8, image_raw_dim=7, text_raw_dim=7)
 
 
 class TestPairBreakdown:
+    """A pair's every similarity signal, per-word scores and evidence: its evidence report."""
+
     def setup_method(self):
-        rng = np.random.default_rng(9)
-        k, p, c, length = 3, 4, 5, 6
+        self.ds = generate_synthetic_dataset(0, 5, 3, CFG, attribute_count=4, detail_count=1,
+                                             flip_count=1, hard_negative_fraction=0.4,
+                                             min_hamming=1)
 
-        def bundle(parts, valid_len=None):
-            return EmbeddingBundle(Tensor(rng.normal(size=p)), Tensor(rng.normal(size=(k, p))),
-                                   Tensor(parts), valid_len)
-
-        self.image = bundle(rng.normal(size=(k, c)))
-        self.text = bundle(rng.normal(size=(c, length)), length)
-        self.params = mining(rng.normal(size=(3, c)), rng.normal(size=(3, c)))
+    def report(self, flags, txt, tau=None):
+        model = Model(CFG, flags, seed=0)
+        if tau is not None:
+            model.params["boundary_tau"] = np.array(tau)
+        return model, negative_evidence_report(model, self.ds.samples[0], self.ds.samples[txt])
 
     def test_masked_scores_follow_boundary(self):
-        b = pair_breakdown(self.image, self.text, self.params, boundary=0.1)
+        _, doc = self.report(ModelFlags(learnable_boundary=True), 3, tau=0.1)
+        scores = np.array(doc["word_scores"])
         # a word in [0, 0.1) is where the boundary rule and min(s, 0) differ
-        assert np.any((b.word_scores >= 0.0) & (b.word_scores < 0.1))
-        want = mining_mask(Tensor(b.word_scores), boundary=0.1).data
-        assert b.to_json()["masked_word_scores"] == want.tolist()
-        assert b.negative_score == pytest.approx(float(want.sum()), abs=1e-15)
+        assert np.any((scores >= 0.0) & (scores < 0.1))
+        want = mining_mask(Tensor(scores), boundary=0.1).data
+        assert doc["masked_word_scores"] == want.tolist()
+        assert doc["negative_score"] == pytest.approx(float(want.sum()), abs=1e-15)
 
     def test_masked_scores_raw_without_mask(self):
-        b = pair_breakdown(self.image, self.text, self.params, use_mask=False)
-        assert b.to_json()["masked_word_scores"] == b.word_scores.tolist()
+        _, doc = self.report(ModelFlags(use_mining_mask=False), 4)
+        assert doc["masked_word_scores"] == doc["word_scores"]
+        assert min(doc["word_scores"]) < 0.0  # a word the mask would have kept
 
     def test_argmax_regions_attain_word_max(self):
-        b = pair_breakdown(self.image, self.text, self.params)
-        scores = word_region_scores(self.image.raw_parts, self.text.raw_parts, self.params).data
-        assert np.array_equal(scores[b.argmax_regions, np.arange(scores.shape[1])],
-                              b.word_scores)
+        model, doc = self.report(ModelFlags(), 4)
+        bound = model.bind(None)
+        images, texts = model._encode([self.ds.samples[0]], [self.ds.samples[4]], bound)
+        regions, words = projected(images.region_feats, texts.word_feats,
+                                   model.mining_params(bound))
+        scores = nm.cosine(regions.data[0], words.data[0]).data  # (K, L)
+        got = scores[doc["argmax_regions"], np.arange(scores.shape[1])]
+        assert got.tolist() == pytest.approx(doc["word_scores"], abs=1e-12)
+        assert np.array_equal(got, scores.max(axis=0))
